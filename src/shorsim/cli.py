@@ -12,6 +12,7 @@ double-precision noise.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -88,35 +89,26 @@ def _write_kv(record: dict, out) -> None:
         out.write(f"{k} = {_cell(v) if v is not None else 'none'}\n")
 
 
-def _estimate_record(est: pipeline.SuccessEstimate) -> dict:
-    rec = {
-        "n": est.n,
-        "x": est.x,
-        "r": est.r,
-        "q": est.q,
-        "trials": est.trials,
-        "order_recovery_count": est.order_recovery_count,
-        "order_recovery_rate": est.order_recovery_rate,
-        "factor_count": est.factor_count,
-        "factor_rate": est.factor_rate,
-        "success_bound": est.success_bound,
-        "bound_satisfied": est.bound_satisfied,
-        "phi_r": est.phi_r,
-        "phi_over_r_loglog": est.phi_over_r_loglog,
-    }
-    for reason, count in est.failure_counts.items():
-        rec[f"failures_{reason}"] = count
-    return rec
+def _emit(fmt: str, records: list, human, out, summary=None) -> None:
+    """Write records as JSON lines, as CSV, or as text via ``human(out)``.
+
+    ``summary`` holds values about the whole record set: a final JSON
+    object, or ``# key = value`` lines after the CSV. The human text
+    carries its own.
+    """
+    if fmt == "structured-record":
+        for rec in records + ([summary] if summary else []):
+            _write_json(rec, out)
+    elif fmt == "delimited-table":
+        _write_csv(records, out)
+        for k, v in (summary or {}).items():
+            out.write(f"# {k} = {_cell(v)}\n")
+    else:
+        human(out)
 
 
 def cmd_simulate(args) -> int:
     out = sys.stdout
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
-    try:
-        pipeline.validate_modulus(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     try:
         if args.trials <= 20:
             traces = pipeline.run_trials(
@@ -137,27 +129,18 @@ def cmd_simulate(args) -> int:
             "factor_1": f1,
             "factor_2": f2,
         }
-        if args.format == "structured-record":
-            _write_json(rec, out)
-        elif args.format == "delimited-table":
-            _write_csv([rec], out)
-        else:
-            out.write(
-                f"gcd({args.x}, {args.n}) = {exc.factor} already reveals "
-                f"the factors {f1} x {f2}; no quantum run needed\n"
-            )
+        _emit(args.format, [rec], lambda out: out.write(
+            f"gcd({args.x}, {args.n}) = {exc.factor} already reveals "
+            f"the factors {f1} x {f2}; no quantum run needed\n"
+        ), out)
         return 0
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     if args.trials <= 20:
         records = [t.to_record() for t in traces]
-        if args.format == "structured-record":
-            for rec in records:
-                _write_json(rec, out)
-        elif args.format == "delimited-table":
-            _write_csv(records, out)
-        else:
+
+        def human(out):
             inst = traces[0].instance
             out.write(
                 f"n = {inst.n}  x = {inst.x}  r = {inst.r}  "
@@ -171,15 +154,14 @@ def cmd_simulate(args) -> int:
                 "order_verified", "factor_1", "factor_2", "failure_reason",
             ]
             _write_aligned(records, out, keys=keys)
+
+        _emit(args.format, records, human, out)
         return 0
 
-    rec = _estimate_record(est)
-    if args.format == "structured-record":
-        _write_json(rec, out)
-    elif args.format == "delimited-table":
-        _write_csv([rec], out)
-    else:
-        _write_kv(rec, out)
+    rec = dataclasses.asdict(est)
+    for reason, count in rec.pop("failure_counts").items():
+        rec[f"failures_{reason}"] = count
+    _emit(args.format, [rec], lambda out: _write_kv(rec, out), out)
     return 0
 
 
@@ -216,12 +198,10 @@ def cmd_spectrum(args) -> int:
     out = sys.stdout
     try:
         instance = FactoringInstance.create(args.n, args.x)
-    except (nt.NotAUnitError, ValueError) as exc:
+        q = args.q if args.q is not None else pipeline.choose_q(args.n).q
+        table = build_spectrum(instance, q)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    q = args.q if args.q is not None else pipeline.choose_q(args.n).q
-    if q < 2 or q & (q - 1):
-        raise UsageError(f"q must be a power of two >= 2, got {q}")
-    table = build_spectrum(instance, q)
     records = [
         {
             "c": c,
@@ -231,27 +211,21 @@ def cmd_spectrum(args) -> int:
         }
         for c, p, t, flag in table.rows()
     ]
-    normalization = float(table.marginals.sum())
-    p_min_good_c = float(table.marginals[table.good_flags].min())
-    if args.format == "structured-record":
-        for rec in records:
-            _write_json(rec, out)
-        _write_json(
-            {"normalization": normalization, "p_min_good_c": p_min_good_c},
-            out,
-        )
-    elif args.format == "delimited-table":
-        _write_csv(records, out)
-        out.write(f"# normalization = {normalization:.12g}\n")
-        out.write(f"# p_min_good_c = {p_min_good_c:.12g}\n")
-    else:
+    summary = {
+        "normalization": float(table.marginals.sum()),
+        "p_min_good_c": float(table.marginals[table.good_flags].min()),
+    }
+
+    def human(out):
         out.write(
             f"n = {instance.n}  x = {instance.x}  r = {instance.r}  "
             f"q = {q}\n\n"
         )
         _write_aligned(records, out)
-        out.write(f"\nnormalization = {normalization:.12g}\n")
-        out.write(f"p_min_good_c = {p_min_good_c:.12g}\n")
+        out.write("\n")
+        _write_kv(summary, out)
+
+    _emit(args.format, records, human, out, summary)
     return 0
 
 
@@ -324,24 +298,7 @@ def cmd_verify_bounds(args) -> int:
         raise UsageError(str(exc)) from exc
     q = pipeline.choose_q(args.n).q
     report = verify_bounds(instance, q)
-    _write_kv(
-        {
-            "n": report.n,
-            "x": report.x,
-            "r": report.r,
-            "q": report.q,
-            "advisory": report.advisory,
-            "p_min": report.p_min,
-            "one_third_bound": report.one_third_bound,
-            "sinc_floor": report.sinc_floor,
-            "min_integral_term": report.min_integral_term,
-            "max_integral_gap": report.max_integral_gap,
-            "exceeds_one_third": report.exceeds_one_third,
-            "sinc_floor_epsilon": report.sinc_floor_epsilon,
-            "meets_sinc_floor": report.meets_sinc_floor,
-        },
-        out,
-    )
+    _write_kv(dataclasses.asdict(report), out)
     return 0
 
 

@@ -2,10 +2,11 @@
 
 Everything in this module works on plain Python integers, so there is no
 precision ceiling: modular exponentiation, a brute-force order finder that
-serves as the ground-truth oracle, Euler's totient, centered residues, and
-continued-fraction machinery for recovering a rational d/r from a measured
-c/q. All comparisons against rational tolerances are done by integer
-cross-multiplication, never in floating point.
+serves as the ground-truth oracle, trial-division factorization, Euler's
+totient, centered residues, and continued-fraction machinery for recovering
+a rational d/r from a measured c/q. All comparisons against rational
+tolerances are done by integer cross-multiplication, never in floating
+point.
 """
 
 import math
@@ -86,25 +87,31 @@ def order_oracle(x: int, n: int) -> int:
     return r
 
 
-def euler_phi(r: int) -> int:
-    """Count the integers in [1, r] coprime to r.
+def factorize(m: int) -> dict[int, int]:
+    """Prime factorization of m as {prime: exponent}, by trial division.
 
-    Uses trial-division factorization; inputs here are small (orders of
-    desk-scale moduli), so nothing fancier is warranted.
+    Inputs here are small (orders and desk-scale moduli), so nothing fancier
+    is warranted. factorize(1) is the empty dict.
     """
-    if r < 1:
-        raise ValueError(f"argument must be >= 1, got {r}")
-    result = r
-    m = r
+    if m < 1:
+        raise ValueError(f"argument must be >= 1, got {m}")
+    factors = {}
     p = 2
     while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
         p += 1 if p == 2 else 2
     if m > 1:
-        result -= result // m
+        factors[m] = 1
+    return factors
+
+
+def euler_phi(r: int) -> int:
+    """Count the integers in [1, r] coprime to r."""
+    result = r
+    for p in factorize(r):
+        result -= result // p
     return result
 
 

@@ -161,17 +161,6 @@ def recover_order(
     return nt.recover_rational(c, q, n)
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
 def validate_modulus(n: int) -> None:
     """Reject n for which gcd extraction cannot work, naming the reason.
 
@@ -181,14 +170,11 @@ def validate_modulus(n: int) -> None:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 3, got {n}")
-    p = _smallest_prime_factor(n)
-    if p == n:
+    factors = nt.factorize(n)
+    if factors == {n: 1}:
         raise ValueError(f"n must be composite, got prime {n}")
-    m, e = n, 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m == 1:
+    if len(factors) == 1:
+        [(p, e)] = factors.items()
         raise ValueError(f"n must not be a prime power, got {n} = {p}^{e}")
 
 
@@ -240,6 +226,14 @@ def _trace(
     return finish(recovered, True, None, FailureReason.TRIVIAL_GCD)
 
 
+def _setup(n: int, x: int) -> tuple[FactoringInstance, int, SpectrumTable]:
+    """Validate (n, x); build the instance and its spectrum at choose_q."""
+    validate_modulus(n)
+    instance = FactoringInstance.create(n, x)
+    q = choose_q(n).q
+    return instance, q, build_spectrum(instance, q)
+
+
 def run_once(n: int, x: int, seed) -> RunTrace:
     """One full invocation: choose q, sample, recover, verify, extract.
 
@@ -248,10 +242,7 @@ def run_once(n: int, x: int, seed) -> RunTrace:
     caller can treat it as success by accident, since no quantum step is
     needed.
     """
-    validate_modulus(n)
-    instance = FactoringInstance.create(n, x)
-    q = choose_q(n).q
-    table = build_spectrum(instance, q)
+    instance, q, table = _setup(n, x)
     return _trace(instance, q, table, np.random.default_rng(seed))
 
 
@@ -264,10 +255,7 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    validate_modulus(n)
-    instance = FactoringInstance.create(n, x)
-    q = choose_q(n).q
-    table = build_spectrum(instance, q)
+    instance, q, table = _setup(n, x)
     if isinstance(seed, np.random.SeedSequence):
         master = seed
     else:
@@ -307,8 +295,8 @@ class SuccessEstimate:
     q: int
     trials: int
     order_recovery_count: int
-    factor_count: int
     order_recovery_rate: float
+    factor_count: int
     factor_rate: float
     success_bound: float
     bound_satisfied: bool
@@ -343,8 +331,8 @@ def estimate_success(n: int, x: int, trials: int, seed) -> SuccessEstimate:
         q=traces[0].q,
         trials=trials,
         order_recovery_count=order_hits,
-        factor_count=factor_hits,
         order_recovery_rate=rate,
+        factor_count=factor_hits,
         factor_rate=factor_hits / trials,
         success_bound=bound,
         bound_satisfied=rate >= bound - 3.0 * sigma,

@@ -31,6 +31,13 @@ def _require_power_of_two(q: int) -> None:
         raise ValueError(f"q must be a power of two >= 2, got {q}")
 
 
+def _require_instance_range(n: int, x: int) -> None:
+    if n < 3:
+        raise ValueError(f"modulus must be >= 3, got {n}")
+    if not 2 <= x <= n - 1:
+        raise ValueError(f"base must be in [2, {n - 1}], got {x}")
+
+
 @dataclass(frozen=True)
 class FactoringInstance:
     """A modulus, a base, and the base's true order.
@@ -47,12 +54,7 @@ class FactoringInstance:
     r: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"modulus must be >= 3, got {self.n}")
-        if not 2 <= self.x <= self.n - 1:
-            raise ValueError(
-                f"base must be in [2, {self.n - 1}], got {self.x}"
-            )
+        _require_instance_range(self.n, self.x)
         g = math.gcd(self.x, self.n)
         if g != 1:
             raise nt.NotAUnitError(self.x, self.n, g)
@@ -65,47 +67,49 @@ class FactoringInstance:
         if pow(self.x, self.r, self.n) != 1:
             raise ValueError(f"{self.x}^{self.r} != 1 (mod {self.n})")
         # Minimality: x^(r/p) != 1 for every prime p dividing r.
-        m, p = self.r, 2
-        while p * p <= m:
-            if m % p == 0:
-                if pow(self.x, self.r // p, self.n) == 1:
-                    raise ValueError(f"order {self.r} is not minimal")
-                while m % p == 0:
-                    m //= p
-            p += 1 if p == 2 else 2
-        if m > 1 and pow(self.x, self.r // m, self.n) == 1:
-            raise ValueError(f"order {self.r} is not minimal")
+        for p in nt.factorize(self.r):
+            if pow(self.x, self.r // p, self.n) == 1:
+                raise ValueError(f"order {self.r} is not minimal")
 
     @classmethod
     def create(cls, n: int, x: int) -> "FactoringInstance":
         """Build an instance for (n, x), deriving ell and the order."""
-        if n < 3:
-            raise ValueError(f"modulus must be >= 3, got {n}")
-        if not 2 <= x <= n - 1:
-            raise ValueError(f"base must be in [2, {n - 1}], got {x}")
+        # Checked before the oracle, whose own range for x is looser.
+        _require_instance_range(n, x)
         return cls(
             n=n, x=x, ell=(n - 1).bit_length(), r=nt.order_oracle(x, n)
         )
 
 
-def _class_sizes(q: int, r: int) -> tuple[int, int]:
-    """Split q = A*r + B; residue classes k < B have m_k = A+1, the rest A."""
-    a, b = divmod(q, r)
-    return a, b
-
-
-def _kernel(m: int, abs_t: int, q: int) -> float:
+def _kernel(m, abs_t, q: int, sin=math.sin):
     """|sum_{b<m} exp(2 pi i b t / q)|^2 for a centered residue t != 0.
 
     Reduces m*|t| mod q before taking the sine so that exact cancellations
-    (m*t a multiple of q) produce exactly 0.0.
+    (m*t a multiple of q) produce exactly 0.0. Scalars go through
+    ``math.sin``; pass ``sin=np.sin`` to evaluate a whole residue array.
     """
-    u = (m * abs_t) % q
-    if u == 0:
-        return 0.0
-    num = math.sin(math.pi * u / q)
-    den = math.sin(math.pi * abs_t / q)
-    return (num / den) ** 2
+    num = sin(math.pi * (m * abs_t % q) / q)
+    den = sin(math.pi * abs_t / q)
+    return num**2 / den**2
+
+
+def _joint(q: int, r: int, c: int, k: int) -> float:
+    """P(c, k) by the closed form; class k holds m_k exponents a < q."""
+    if not 0 <= k < r:
+        raise ValueError(f"k must be in [0, {r - 1}], got {k}")
+    if not 0 <= c < q:
+        raise ValueError(f"c must be in [0, {q - 1}], got {c}")
+    m = (q - k - 1) // r + 1
+    t = abs(nt.signed_residue(r * c, q))
+    if t == 0:
+        return (m / q) ** 2
+    return _kernel(m, t, q) / q**2
+
+
+def _signed_residues(r: int, q: int) -> np.ndarray:
+    """{r c}_q in (-q/2, q/2] for every c in [0, q)."""
+    t = (r % q) * np.arange(q, dtype=np.int64) % q
+    return np.where(2 * t > q, t - q, t)
 
 
 def joint_probability(
@@ -119,16 +123,7 @@ def joint_probability(
     has magnitude 1 and is dropped.
     """
     _require_power_of_two(q)
-    r = instance.r
-    if not 0 <= k < r:
-        raise ValueError(f"k must be in [0, {r - 1}], got {k}")
-    if not 0 <= c < q:
-        raise ValueError(f"c must be in [0, {q - 1}], got {c}")
-    m = (q - k - 1) // r + 1
-    t = abs(nt.signed_residue(r * c, q))
-    if t == 0:
-        return (m / q) ** 2
-    return _kernel(m, t, q) / q**2
+    return _joint(q, instance.r, c, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +144,7 @@ class SpectrumTable:
 
     def joint(self, c: int, k: int) -> float:
         """Joint probability P(c, k) recomputed from the closed form."""
-        r = self.r
-        if not 0 <= k < r:
-            raise ValueError(f"k must be in [0, {r - 1}], got {k}")
-        if not 0 <= c < self.q:
-            raise ValueError(f"c must be in [0, {self.q - 1}], got {c}")
-        a, b = _class_sizes(self.q, r)
-        m = a + 1 if k < b else a
-        t = abs(int(self.signed_residues[c]))
-        if t == 0:
-            return (m / self.q) ** 2
-        return _kernel(m, t, self.q) / self.q**2
+        return _joint(self.q, self.r, c, k)
 
     def rows(self):
         """Yield (c, marginal_probability, signed_residue, good_flag) rows."""
@@ -187,29 +172,26 @@ def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:
 
     The joint probability depends on k only through m_k, which takes at most
     two values A and A+1 with multiplicities r - B and B (q = A*r + B), so
-    the k-sum collapses to a two-term combination evaluated for every c at
-    once.
+    the k-sum collapses to a two-term combination of kernel values.
     """
     _require_power_of_two(q)
     r = instance.r
-    a, b = _class_sizes(q, r)
+    a, b = divmod(q, r)
 
-    c = np.arange(q, dtype=np.int64)
-    t_raw = (r % q) * c % q
-    signed = np.where(2 * t_raw > q, t_raw - q, t_raw)
+    signed = _signed_residues(r, q)
     abs_t = np.abs(signed)
     good = 2 * abs_t <= r
 
+    # The marginal depends on c only through |{r c}_q| in [0, q/2], so the
+    # kernel is evaluated once per residue magnitude, not once per c.
+    per_t = np.empty(q // 2 + 1)
     # Peaks: rc = 0 (mod q), every class contributes (m_k/q)^2.
-    peak = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
-
-    safe_t = np.where(abs_t == 0, 1, abs_t)
-    den = np.sin(np.pi * safe_t / q) ** 2
-    num_hi = np.sin(np.pi * ((a + 1) * safe_t % q) / q) ** 2
-    num_lo = np.sin(np.pi * (a * safe_t % q) / q) ** 2
-    marginals = np.where(
-        abs_t == 0, peak, (b * num_hi + (r - b) * num_lo) / den / q**2
-    )
+    per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
+    t = np.arange(1, q // 2 + 1)
+    per_t[1:] = (
+        b * _kernel(a + 1, t, q, np.sin) + (r - b) * _kernel(a, t, q, np.sin)
+    ) / q**2
+    marginals = per_t[abs_t]
 
     for arr in (marginals, signed, good):
         arr.setflags(write=False)
@@ -230,9 +212,7 @@ def good_c_set(r: int, q: int) -> set[int]:
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
     _require_power_of_two(q)
-    c = np.arange(q, dtype=np.int64)
-    t_raw = (r % q) * c % q
-    abs_t = np.minimum(t_raw, q - t_raw)
+    abs_t = np.abs(_signed_residues(r, q))
     return set(np.flatnonzero(2 * abs_t <= r).tolist())
 
 
@@ -282,24 +262,21 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
     records the worst-case gap, alongside the minimum joint probability and
     its relation to the 1/(3 r^2) and 4/(pi^2 r^2) floors.
     """
-    _require_power_of_two(q)
     n, r = instance.n, instance.r
-    a, b = _class_sizes(q, r)
     table = build_spectrum(instance, q)
 
+    # P(c, k) depends on k only through m_k: A+1 for k < B, A for k >= B.
+    b = q % r
+    class_reps = (0,) if b == 0 else (0, b)
     p_min = math.inf
     min_integral = math.inf
     max_gap = 0.0
-    for c in np.flatnonzero(table.good_flags):
+    for c in np.flatnonzero(table.good_flags).tolist():
         t = abs(int(table.signed_residues[c]))
         approx = integral_term(t / r, r)
         min_integral = min(min_integral, approx)
-        m_values = [a] if b == 0 else [a, a + 1]
-        for m in m_values:
-            if t == 0:
-                p = (m / q) ** 2
-            else:
-                p = _kernel(m, t, q) / q**2
+        for k in class_reps:
+            p = _joint(q, r, c, k)
             p_min = min(p_min, p)
             max_gap = max(max_gap, abs(math.sqrt(p) - approx))
 

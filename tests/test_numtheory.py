@@ -75,6 +75,25 @@ def test_euler_phi_matches_gcd_count_to_10k():
         assert nt.euler_phi(r) == expected
 
 
+def test_factorize_examples():
+    assert nt.factorize(1) == {}
+    assert nt.factorize(2) == {2: 1}
+    assert nt.factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert nt.factorize(3233) == {53: 1, 61: 1}
+    with pytest.raises(ValueError):
+        nt.factorize(0)
+
+
+@given(st.integers(min_value=1, max_value=10**4))
+def test_factorize_is_a_prime_factorization(m):
+    factors = nt.factorize(m)
+    assert math.prod(p**e for p, e in factors.items()) == m
+    for p, e in factors.items():
+        assert e >= 1
+        # oracle: p is prime when no d in [2, p) divides it
+        assert p >= 2 and all(p % d for d in range(2, p))
+
+
 def test_signed_residue_examples():
     assert nt.signed_residue(256, 256) == 0
     assert nt.signed_residue(5, 8) == -3

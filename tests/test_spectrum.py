@@ -163,6 +163,18 @@ def test_verify_bounds_exact_case():
     assert not report.advisory
 
 
+@pytest.mark.parametrize(
+    "n,x,q", [(15, 7, 256), (21, 2, 512), (33, 2, 2048), (15, 7, 2)]
+)
+def test_verify_bounds_p_min_matches_brute_force(n, x, q):
+    instance = FactoringInstance.create(n, x)
+    r = instance.r
+    good = [c for c in range(q) if 2 * min(r * c % q, -r * c % q) <= r]
+    expected = brute_joint_matrix(n, x, q)[:, good].min()
+    report = verify_bounds(instance, q)
+    assert report.p_min == pytest.approx(expected, abs=1e-12)
+
+
 def test_verify_bounds_advisory_flag():
     report = verify_bounds(FactoringInstance.create(15, 7), 2)
     assert report.advisory
@@ -191,6 +203,17 @@ def test_instance_rejects_trivial_base():
         FactoringInstance.create(15, 0)
     with pytest.raises(ValueError):
         FactoringInstance.create(15, 15)
+
+
+def test_instance_range_errors_name_the_base_range():
+    # create checks the range before the order oracle, whose own range for
+    # the base is the looser [1, n - 1]
+    with pytest.raises(ValueError, match=r"must be in \[2, 14\], got 0"):
+        FactoringInstance.create(15, 0)
+    with pytest.raises(ValueError, match=r"must be in \[2, 14\], got 1"):
+        FactoringInstance(n=15, x=1, ell=4, r=1)
+    with pytest.raises(ValueError, match="modulus must be >= 3, got 1"):
+        FactoringInstance.create(1, 1)
 
 
 def test_build_spectrum_requires_power_of_two():
