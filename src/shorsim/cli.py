@@ -200,7 +200,7 @@ def cmd_spectrum(args) -> int:
         instance = FactoringInstance.create(args.n, args.x)
         q = args.q if args.q is not None else pipeline.choose_q(args.n).q
         table = build_spectrum(instance, q)
-    except ValueError as exc:
+    except (nt.NotAUnitError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     records = [
         {
