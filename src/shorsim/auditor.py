@@ -22,6 +22,7 @@ Checks A, C, D gate the verdict; B and E are recorded but not fatal.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,7 +56,6 @@ class RegisterConfig:
     n: int
     register1_qubits: int
     register2_qubits: int
-    base_x: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 3:
@@ -91,6 +91,7 @@ class AuditCheck:
     hard: bool
 
 
+@functools.cache
 def count_fractions(n: int) -> int:
     """Number of reduced fractions d/r in [0, 1) with denominator r < n."""
     return 1 + sum(nt.euler_phi(r) for r in range(2, n))

@@ -28,10 +28,6 @@ DEFAULT_SEED = 1729
 FORMATS = ("human", "delimited-table", "structured-record")
 
 
-class UsageError(Exception):
-    """Post-parse validation failure; reported like a flag error, exit 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the exit contract
     # reserves 2 for non-compliant audits, so remap to 1.
@@ -134,8 +130,6 @@ def cmd_simulate(args) -> int:
             f"the factors {f1} x {f2}; no quantum run needed\n"
         ), out)
         return 0
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
     if args.trials <= 20:
         records = [t.to_record() for t in traces]
@@ -167,22 +161,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     out = sys.stdout
-    try:
-        config = auditor.RegisterConfig(
-            n=args.n,
-            register1_qubits=args.s,
-            register2_qubits=args.reg2,
-            base_x=args.x,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = auditor.RegisterConfig(
+        n=args.n, register1_qubits=args.s, register2_qubits=args.reg2
+    )
     report = auditor.audit(config)
     out.write(report.to_text())
     if args.x is not None:
-        try:
-            appl = auditor.bound_argument_applicability(config, args.x)
-        except (nt.NotAUnitError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
+        appl = auditor.bound_argument_applicability(config, args.x)
         out.write("\n")
         out.write(f"bound argument at x = {appl.x} (order r = {appl.r}):\n")
         out.write(f"  applicable = {_cell(appl.applicable)}\n")
@@ -196,12 +181,9 @@ def cmd_audit(args) -> int:
 
 def cmd_spectrum(args) -> int:
     out = sys.stdout
-    try:
-        instance = FactoringInstance.create(args.n, args.x)
-        q = args.q if args.q is not None else pipeline.choose_q(args.n).q
-        table = build_spectrum(instance, q)
-    except (nt.NotAUnitError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    instance = FactoringInstance.create(args.n, args.x)
+    q = args.q if args.q is not None else pipeline.choose_q(args.n).q
+    table = build_spectrum(instance, q)
     records = [
         {
             "c": c,
@@ -232,14 +214,11 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     out = sys.stdout
     if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     if not args.n_list:
-        raise UsageError("--n-list must name at least one modulus")
+        raise ValueError("--n-list must name at least one modulus")
     for n in args.n_list:
-        try:
-            pipeline.validate_modulus(n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        pipeline.validate_modulus(n)
 
     pairs = []
     for n in args.n_list:
@@ -265,7 +244,7 @@ def cmd_sweep(args) -> int:
             pairs.append((n, x))
 
     if not pairs:
-        raise UsageError("no valid (n, x) pairs to sweep")
+        raise ValueError("no valid (n, x) pairs to sweep")
     seeds = np.random.SeedSequence(args.seed).spawn(len(pairs))
     rows = []
     for (n, x), seed in zip(pairs, seeds):
@@ -292,10 +271,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     out = sys.stdout
-    try:
-        instance = FactoringInstance.create(args.n, args.x)
-    except (nt.NotAUnitError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    instance = FactoringInstance.create(args.n, args.x)
     q = pipeline.choose_q(args.n).q
     report = verify_bounds(instance, q)
     _write_kv(dataclasses.asdict(report), out)
@@ -374,7 +350,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
+        # Validation failures, NotAUnitError included, are usage errors.
         print(f"shorsim: error: {exc}", file=sys.stderr)
         return 1
 

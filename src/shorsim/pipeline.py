@@ -13,11 +13,14 @@ or one of six failure reasons. The taxonomy separates "the measurement was
 uninformative" (bad_c_no_recovery), "the fraction collapsed" (gcd(d, r) > 1
 understates the order), and the arithmetic dead ends of the extraction step,
 so Monte-Carlo aggregates can be compared against the phi(r)/(3r)
-per-invocation lower bound term by term.
+per-invocation lower bound term by term. The outcome is a function of the
+measured c alone, since k never enters the post-processing, so it is
+computed once per distinct c and shared by every trial that measured it.
 """
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -178,32 +181,17 @@ def validate_modulus(n: int) -> None:
         raise ValueError(f"n must not be a prime power, got {n} = {p}^{e}")
 
 
-def _trace(
-    instance: FactoringInstance,
-    q: int,
-    table: SpectrumTable,
-    rng: np.random.Generator,
-) -> RunTrace:
-    """Sample once and run the classical post-processing to a terminal state."""
+def _classify(instance: FactoringInstance, q: int, c: int) -> tuple:
+    """Run the classical post-processing of one measured c to its outcome.
+
+    Returns the RunTrace fields (recovered, order_verified, factors,
+    failure_reason). They depend on c alone; k never enters.
+    """
     n, x, r = instance.n, instance.x, instance.r
-    c, k = _sample_with_rng(table, rng)
-
-    def finish(recovered, verified, factors, reason):
-        return RunTrace(
-            instance=instance,
-            q=q,
-            sampled_c=c,
-            sampled_k=k,
-            recovered=recovered,
-            order_verified=verified,
-            factors=factors,
-            failure_reason=reason,
-        )
-
     recovered = recover_order(c, q, n)
     if recovered is None:
-        return finish(None, False, None, FailureReason.BAD_C_NO_RECOVERY)
-    d, r_cand = recovered
+        return None, False, None, FailureReason.BAD_C_NO_RECOVERY
+    _, r_cand = recovered
     if nt.mod_pow(x, r_cand, n) != 1:
         # A proper divisor of r arises exactly when gcd(d, r) > 1 was
         # divided out of the true fraction d/r during reduction.
@@ -211,19 +199,30 @@ def _trace(
             reason = FailureReason.D_R_NOT_COPRIME_UNDERSTATES_R
         else:
             reason = FailureReason.ORDER_CHECK_FAILED
-        return finish(recovered, False, None, reason)
+        return recovered, False, None, reason
     if r_cand % 2:
-        return finish(recovered, True, None, FailureReason.ODD_ORDER)
+        return recovered, True, None, FailureReason.ODD_ORDER
     y = nt.mod_pow(x, r_cand // 2, n)
     if y == n - 1:
-        return finish(
-            recovered, True, None, FailureReason.X_POW_HALF_R_IS_MINUS_ONE
-        )
+        return recovered, True, None, FailureReason.X_POW_HALF_R_IS_MINUS_ONE
     for f in (math.gcd(y - 1, n), math.gcd(y + 1, n)):
         if 1 < f < n:
-            pair = (min(f, n // f), max(f, n // f))
-            return finish(recovered, True, pair, None)
-    return finish(recovered, True, None, FailureReason.TRIVIAL_GCD)
+            return recovered, True, (min(f, n // f), max(f, n // f)), None
+    return recovered, True, None, FailureReason.TRIVIAL_GCD
+
+
+def _trace(
+    instance: FactoringInstance,
+    q: int,
+    table: SpectrumTable,
+    rng: np.random.Generator,
+    outcomes: dict,
+) -> RunTrace:
+    """Sample once; ``outcomes`` memoises the classification by c."""
+    c, k = _sample_with_rng(table, rng)
+    if c not in outcomes:
+        outcomes[c] = _classify(instance, q, c)
+    return RunTrace(instance, q, c, k, *outcomes[c])
 
 
 def _setup(n: int, x: int) -> tuple[FactoringInstance, int, SpectrumTable]:
@@ -243,15 +242,15 @@ def run_once(n: int, x: int, seed) -> RunTrace:
     needed.
     """
     instance, q, table = _setup(n, x)
-    return _trace(instance, q, table, np.random.default_rng(seed))
+    return _trace(instance, q, table, np.random.default_rng(seed), {})
 
 
 def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     """Run independent trials with per-trial seeds derived from one master.
 
-    The spectrum is built once and shared; each trial gets its own
-    generator spawned from the master seed, so any single trial can be
-    reproduced in isolation.
+    The spectrum is built once and shared, and so is the outcome of each
+    distinct c. Each trial gets its own generator spawned from the master
+    seed, so any single trial can be reproduced in isolation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -260,10 +259,10 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
         master = seed
     else:
         master = np.random.SeedSequence(seed)
-    children = master.spawn(trials)
+    outcomes = {}
     return [
-        _trace(instance, q, table, np.random.default_rng(child))
-        for child in children
+        _trace(instance, q, table, np.random.default_rng(child), outcomes)
+        for child in master.spawn(trials)
     ]
 
 
@@ -313,11 +312,9 @@ def estimate_success(n: int, x: int, trials: int, seed) -> SuccessEstimate:
     order_hits = sum(
         1 for t in traces if t.recovered and t.recovered[1] == r
     )
-    factor_hits = sum(1 for t in traces if t.succeeded)
-    failures = {reason.value: 0 for reason in FailureReason}
-    for t in traces:
-        if t.failure_reason is not None:
-            failures[t.failure_reason.value] += 1
+    tally = Counter(t.failure_reason for t in traces)
+    factor_hits = tally[None]
+    failures = {reason.value: tally[reason] for reason in FailureReason}
 
     bound = success_bound(r)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)

@@ -1,21 +1,32 @@
 """CLI contract tests: exit codes, output formats, reproducibility."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorsim import FactoringInstance, build_spectrum
-from shorsim.cli import DEFAULT_SEED, main
+from shorsim.cli import DEFAULT_SEED, FORMATS, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
         [sys.executable, "-m", "shorsim", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -249,3 +260,53 @@ def test_default_seed_constant():
     b = run_cli("simulate", "--n", "15", "--x", "7", "--trials", "2",
                 "--seed", str(DEFAULT_SEED))
     assert a.stdout == b.stdout
+
+
+@st.composite
+def cli_argv(draw):
+    """Bounded argument lists for every subcommand, valid or not."""
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    command = draw(st.sampled_from(
+        ["simulate", "audit", "spectrum", "sweep", "verify-bounds"]
+    ))
+    n = draw(st.integers(-5, 300))
+    argv = [command, "--n", str(n)]
+    if command == "simulate":
+        argv += ["--x", num(-5, 300), "--trials", num(-2, 30),
+                 "--seed", num(0, 2**32),
+                 "--format", draw(st.sampled_from(FORMATS))]
+    elif command == "audit":
+        argv += ["--s", num(-2, 12), "--reg2", num(-2, 12)]
+        if draw(st.booleans()):
+            argv += ["--x", num(-5, 300)]
+    elif command == "spectrum":
+        argv += ["--x", num(-5, 300),
+                 "--format", draw(st.sampled_from(FORMATS))]
+        # without --q the default q = choose_q(n) stays <= 2^12 for n <= 64
+        if n > 64 or draw(st.booleans()):
+            argv += ["--q", num(-4, 2**12)]
+    elif command == "sweep":
+        moduli = draw(st.lists(st.integers(-5, 300), max_size=3))
+        argv = [command, "--n-list", ",".join(map(str, moduli)),
+                "--trials", num(-2, 30)]
+        if draw(st.booleans()):
+            bases = draw(st.lists(st.integers(-5, 300), max_size=3))
+            argv += ["--bases", ",".join(map(str, bases))]
+    else:
+        argv += ["--x", num(-5, 300)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+def test_any_bounded_input_stays_inside_exit_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the flags
+            code = exc.code
+            assert code == 1, argv
+    assert code in (0, 1, 2), argv

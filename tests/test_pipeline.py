@@ -1,6 +1,8 @@
 """End-to-end pipeline tests: seeded traces, classification, estimator."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -158,6 +160,77 @@ def test_run_trials_reproducible_and_shares_instance():
     b = run_trials(15, 7, 10, 99)
     assert a == b
     assert len({id(t.instance) for t in a}) == 1
+
+
+def test_run_trials_classifies_each_distinct_c_once(monkeypatch):
+    calls = Counter()
+    recover = pipeline.recover_order
+
+    def counting(c, q, n):
+        calls[c] += 1
+        return recover(c, q, n)
+
+    monkeypatch.setattr(pipeline, "recover_order", counting)
+    traces = run_trials(221, 2, 2000, 31)
+    sampled = {t.sampled_c for t in traces}
+    assert len(sampled) < len(traces)
+    assert calls == Counter(sampled)
+    instance, q = traces[0].instance, traces[0].q
+    for t in traces:
+        outcome = (t.recovered, t.order_verified, t.factors, t.failure_reason)
+        assert outcome == pipeline._classify(instance, q, t.sampled_c)
+
+
+def _failures(bad_c, understated, order_check, minus_one):
+    return {
+        "bad_c_no_recovery": bad_c,
+        "d_r_not_coprime_understates_r": understated,
+        "order_check_failed": order_check,
+        "odd_order": 0,
+        "x_pow_half_r_is_minus_one": minus_one,
+        "trivial_gcd": 0,
+    }
+
+
+# Recorded before the per-c classification was memoised; seeded aggregates
+# must stay bit-identical.
+PINNED_ESTIMATES = [
+    dict(n=15, x=7, r=4, q=256, trials=2000, order_recovery_count=1012,
+         order_recovery_rate=0.506, factor_count=1012, factor_rate=0.506,
+         success_bound=0.16666666666666666, bound_satisfied=True, phi_r=2,
+         phi_over_r_loglog=0.16331712998914047,
+         failure_counts=_failures(481, 507, 0, 0)),
+    dict(n=21, x=2, r=6, q=512, trials=2000, order_recovery_count=426,
+         order_recovery_rate=0.213, factor_count=426, factor_rate=0.213,
+         success_bound=0.1111111111111111, bound_satisfied=True, phi_r=2,
+         phi_over_r_loglog=0.1943993602608864,
+         failure_counts=_failures(754, 802, 18, 0)),
+    dict(n=33, x=2, r=10, q=2048, trials=2000, order_recovery_count=571,
+         order_recovery_rate=0.2855, factor_count=0, factor_rate=0.0,
+         success_bound=0.13333333333333333, bound_satisfied=True, phi_r=4,
+         phi_over_r_loglog=0.3336129780991824,
+         failure_counts=_failures(621, 804, 4, 571)),
+    dict(n=91, x=2, r=12, q=16384, trials=2000, order_recovery_count=454,
+         order_recovery_rate=0.227, factor_count=454, factor_rate=0.227,
+         success_bound=0.1111111111111111, bound_satisfied=True, phi_r=4,
+         phi_over_r_loglog=0.30341169778844196,
+         failure_counts=_failures(617, 927, 2, 0)),
+    dict(n=221, x=2, r=24, q=65536, trials=2000, order_recovery_count=453,
+         order_recovery_rate=0.2265, factor_count=453, factor_rate=0.2265,
+         success_bound=0.1111111111111111, bound_satisfied=True, phi_r=8,
+         phi_over_r_loglog=0.38542300213551584,
+         failure_counts=_failures(502, 1043, 2, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "want", PINNED_ESTIMATES, ids=lambda w: f"{w['n']}-{w['x']}"
+)
+def test_estimate_success_pinned(want):
+    est = estimate_success(want["n"], want["x"], 2000, 1729)
+    got = dataclasses.asdict(est)
+    assert got == want
+    assert list(got["failure_counts"]) == list(want["failure_counts"])
 
 
 def test_success_bound_examples():
