@@ -14,7 +14,6 @@ from .auditor import (
     COND_Q_LT_2N2,
     COND_REG2_WIDTH,
     COND_TOTAL_QUBITS,
-    SINGLE_QUBIT_NOTE,
     ApplicabilityReport,
     AuditCheck,
     AuditReport,
@@ -29,9 +28,7 @@ from .numtheory import (
     ConvergentSequence,
     NotAUnitError,
     continued_fraction,
-    euler_phi,
-    mod_pow,
-    order_oracle,
+    factorize,
     recover_rational,
     signed_residue,
 )
@@ -42,12 +39,10 @@ from .pipeline import (
     SuccessEstimate,
     choose_q,
     estimate_success,
-    recover_order,
     run_once,
     run_trials,
     sample_measurement,
     success_bound,
-    validate_modulus,
 )
 from .spectrum import (
     BoundReport,
@@ -79,7 +74,6 @@ __all__ = [
     "QChoice",
     "RegisterConfig",
     "RunTrace",
-    "SINGLE_QUBIT_NOTE",
     "SpectrumTable",
     "SuccessEstimate",
     "Verdict",
@@ -91,19 +85,15 @@ __all__ = [
     "count_fractions",
     "count_indistinguishable_pairs",
     "estimate_success",
-    "euler_phi",
+    "factorize",
     "good_c_set",
     "integral_term",
     "joint_probability",
-    "mod_pow",
-    "order_oracle",
-    "recover_order",
     "recover_rational",
     "run_once",
     "run_trials",
     "sample_measurement",
     "signed_residue",
     "success_bound",
-    "validate_modulus",
     "verify_bounds",
 ]

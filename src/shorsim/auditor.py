@@ -114,7 +114,7 @@ def count_indistinguishable_pairs(n: int, q: int) -> int:
     counts = np.zeros(q, dtype=np.int64)
     for r in range(1, n):
         d = np.arange(r, dtype=np.int64)
-        d = d[np.gcd(d, r) == 1] if r > 1 else d
+        d = d[np.gcd(d, r) == 1]
         num = 2 * d * q
         # c consistent with d/r form the integer range [lo, hi]; the real
         # interval has length exactly 1, so hi - lo is 0 or 1.
@@ -272,32 +272,27 @@ def bound_argument_applicability(
     """Check whether the amplitude-integral estimate is meaningful at (n, s)."""
     n, s, q = config.n, config.register1_qubits, config.q
     r = nt.order_oracle(x, n)
-    if q < n * n:
+    applicable = q >= n * n
+    if applicable:
+        report = verify_bounds(FactoringInstance.create(n, x), q)
+        p_min, one_third = report.p_min, report.one_third_bound
+        explanation = (
+            f"applicable: verified p_min = {p_min:.12g} over good (c, k) "
+            f"against 1/(3 r^2) = {one_third:.12g}"
+        )
+    else:
+        p_min = one_third = None
         explanation = (
             f"inapplicable: the integral estimate of the amplitude sum "
             f"requires r much smaller than q, but r/q = {r}/{q} = "
             f"{r / q:g}; with q = 2^{s} the sum has at most "
             f"{max(q // r, 1)} terms per residue class"
         )
-        return ApplicabilityReport(
-            n=n, x=x, s=s, q=q, r=r,
-            applicable=False,
-            r_over_q=r / q,
-            p_min=None,
-            one_third_bound=None,
-            explanation=explanation,
-        )
-    instance = FactoringInstance.create(n, x)
-    report = verify_bounds(instance, q)
-    explanation = (
-        f"applicable: verified p_min = {report.p_min:.12g} over good (c, k) "
-        f"against 1/(3 r^2) = {report.one_third_bound:.12g}"
-    )
     return ApplicabilityReport(
         n=n, x=x, s=s, q=q, r=r,
-        applicable=True,
+        applicable=applicable,
         r_over_q=r / q,
-        p_min=report.p_min,
-        one_third_bound=report.one_third_bound,
+        p_min=p_min,
+        one_third_bound=one_third,
         explanation=explanation,
     )

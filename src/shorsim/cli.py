@@ -27,6 +27,9 @@ DEFAULT_SEED = 1729
 
 FORMATS = ("human", "delimited-table", "structured-record")
 
+# simulate prints one row per trial up to this many trials, else an aggregate.
+MAX_TRACE_ROWS = 20
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the exit contract
@@ -55,10 +58,6 @@ def _jsonable(record: dict) -> dict:
         k: float(f"{v:.12g}") if isinstance(v, float) else v
         for k, v in record.items()
     }
-
-
-def _write_json(record: dict, out) -> None:
-    out.write(json.dumps(_jsonable(record)) + "\n")
 
 
 def _write_csv(records: list, out) -> None:
@@ -94,7 +93,7 @@ def _emit(fmt: str, records: list, human, out, summary=None) -> None:
     """
     if fmt == "structured-record":
         for rec in records + ([summary] if summary else []):
-            _write_json(rec, out)
+            out.write(json.dumps(_jsonable(rec)) + "\n")
     elif fmt == "delimited-table":
         _write_csv(records, out)
         for k, v in (summary or {}).items():
@@ -105,8 +104,9 @@ def _emit(fmt: str, records: list, human, out, summary=None) -> None:
 
 def cmd_simulate(args) -> int:
     out = sys.stdout
+    per_trial = args.trials <= MAX_TRACE_ROWS
     try:
-        if args.trials <= 20:
+        if per_trial:
             traces = pipeline.run_trials(
                 args.n, args.x, args.trials, args.seed
             )
@@ -131,7 +131,7 @@ def cmd_simulate(args) -> int:
         ), out)
         return 0
 
-    if args.trials <= 20:
+    if per_trial:
         records = [t.to_record() for t in traces]
 
         def human(out):
@@ -354,7 +354,3 @@ def main(argv=None) -> int:
         # Validation failures, NotAUnitError included, are usage errors.
         print(f"shorsim: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

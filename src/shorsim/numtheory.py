@@ -6,7 +6,8 @@ serves as the ground-truth oracle, trial-division factorization, Euler's
 totient, centered residues, and continued-fraction machinery for recovering
 a rational d/r from a measured c/q. All comparisons against rational
 tolerances are done by integer cross-multiplication, never in floating
-point.
+point. ``signed_residue`` also takes int64 arrays, so the spectrum module's
+residue tables use the same formula.
 """
 
 import math
@@ -115,18 +116,17 @@ def euler_phi(r: int) -> int:
     return result
 
 
-def signed_residue(v: int, q: int) -> int:
+def signed_residue(v, q: int):
     """Return the representative of v mod q lying in (-q/2, q/2].
 
     The boundary point q/2 maps to +q/2, so the test ``|signed_residue| <= r/2``
-    is deterministic for every input.
+    is deterministic for every input. ``v`` may be an int or an integer
+    numpy array; the formula has no branch, so it applies element-wise.
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    t = v % q
-    if 2 * t > q:
-        t -= q
-    return t
+    h = (q - 1) // 2
+    return (v + h) % q - h
 
 
 def continued_fraction(c: int, q: int) -> ConvergentSequence:

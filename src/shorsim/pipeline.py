@@ -21,7 +21,7 @@ computed once per distinct c and shared by every trial that measured it.
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -95,14 +95,15 @@ class RunTrace:
         return self.factors is not None
 
     def to_record(self) -> dict:
-        """Flat record with absent optionals kept explicit as None."""
+        """Flat record with absent optionals kept explicit as None.
+
+        The instance's fields (n, x, ell, r) come first, in declaration
+        order.
+        """
         d, r_cand = self.recovered if self.recovered else (None, None)
         f1, f2 = self.factors if self.factors else (None, None)
         return {
-            "n": self.instance.n,
-            "x": self.instance.x,
-            "ell": self.instance.ell,
-            "r": self.instance.r,
+            **asdict(self.instance),
             "q": self.q,
             "sampled_c": self.sampled_c,
             "sampled_k": self.sampled_k,

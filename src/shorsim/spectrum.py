@@ -108,8 +108,7 @@ def _joint(q: int, r: int, c: int, k: int) -> float:
 
 def _signed_residues(r: int, q: int) -> np.ndarray:
     """{r c}_q in (-q/2, q/2] for every c in [0, q)."""
-    t = (r % q) * np.arange(q, dtype=np.int64) % q
-    return np.where(2 * t > q, t - q, t)
+    return nt.signed_residue((r % q) * np.arange(q, dtype=np.int64), q)
 
 
 def joint_probability(

@@ -6,6 +6,9 @@ both; the production counter aggregates per-c counts instead, so agreement
 checks both the combinatorics and the interval arithmetic.
 """
 
+import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -17,7 +20,6 @@ from shorsim import (
     COND_Q_LT_2N2,
     COND_REG2_WIDTH,
     COND_TOTAL_QUBITS,
-    SINGLE_QUBIT_NOTE,
     NotAUnitError,
     RegisterConfig,
     Verdict,
@@ -26,8 +28,9 @@ from shorsim import (
     choose_q,
     count_fractions,
     count_indistinguishable_pairs,
-    euler_phi,
 )
+from shorsim.auditor import SINGLE_QUBIT_NOTE
+from shorsim.numtheory import euler_phi
 
 
 def brute_pairs(n: int, q: int) -> int:
@@ -209,6 +212,49 @@ def test_applicability_rejects_nonunit():
     with pytest.raises(NotAUnitError) as err:
         bound_argument_applicability(config, 5)
     assert err.value.factor == 5
+
+
+# BLAKE2b-128 of the JSON list of outcomes for s = 1 .. 2*ell + 1 at
+# register2_qubits = ell: each outcome is the report's fields, or
+# [exception type, message]. The bases are 0, 1, 2, n - 1, n and a non-unit.
+APPLICABILITY_DIGESTS = {
+    (15, 0): "d97907e05ffa13f69b921b915cc664ad",
+    (15, 1): "e3047627cf40ab3e7a3923dea0896c5f",
+    (15, 2): "272f799f0b424bb5214b8a4c473fbe24",
+    (15, 14): "08af97ea716877c9522b8910cf5f2011",
+    (15, 15): "0010d418fb04d0230903983316a6c98c",
+    (15, 3): "646418024afa50e63248fb173adf92f1",
+    (21, 0): "3a581003945a34d13000826bd69c84d6",
+    (21, 1): "73e7339b2c6e56095898b5e8b7483310",
+    (21, 2): "5fed865f10e9b97513df4fbde2f93b9a",
+    (21, 20): "0b4fd4691fb5800ba294449ff07c4b7d",
+    (21, 21): "30c5c015b317ac88cba95bec9a9df61e",
+    (21, 3): "58a24c832cbc69b8d4bbbc9ff62c68b1",
+    (33, 0): "fde8ae96f6cd4d17ac7b8b7a9f5b38aa",
+    (33, 1): "1ba3dc31b40d760e2ffa86fe864ad440",
+    (33, 2): "7980f2b11fd7198ac6e82899c0a12189",
+    (33, 32): "10b2e6e2e1303c01d3fe676dca6e9c63",
+    (33, 33): "9306290e4d21279e623c506c74dbd06b",
+    (33, 3): "a75efd36563cb02b0bf0318542782168",
+}
+
+
+@pytest.mark.parametrize("n,x", list(APPLICABILITY_DIGESTS))
+def test_applicability_pinned(n, x):
+    ell = (n - 1).bit_length()
+    outcomes = []
+    for s in range(1, 2 * ell + 2):
+        config = RegisterConfig(n, s, ell)
+        try:
+            report = bound_argument_applicability(config, x)
+        except ValueError as exc:
+            outcomes.append([type(exc).__name__, str(exc)])
+        else:
+            outcomes.append(dataclasses.asdict(report))
+    digest = hashlib.blake2b(
+        json.dumps(outcomes).encode(), digest_size=16
+    ).hexdigest()
+    assert digest == APPLICABILITY_DIGESTS[n, x]
 
 
 def test_register_config_validation():

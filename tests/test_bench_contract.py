@@ -20,8 +20,6 @@ from shorsim import auditor, cli, pipeline, spectrum
 from shorsim import numtheory as nt
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-# Needs about 1.35 GB for its q = 2^24 table; the benchmark run checks it.
-BENCH_ONLY = {"verify-bounds --n 3233 --x 3"}
 
 
 def _load(name: str):
@@ -35,10 +33,9 @@ def _load(name: str):
 
 workloads = _load("workloads")
 EXPECTED = json.loads(workloads.EXPECTED_PATH.read_text())["digests"]
-DIGESTED = [
-    argv for argv in workloads.seed_independent_ops()
-    if workloads.op_key(argv) not in BENCH_ONLY
-]
+# The heaviest, verify-bounds --n 3233 --x 3, builds a q = 2^24 table: about
+# 0.7 GB and 1.5-1.8 s.
+DIGESTED = workloads.seed_independent_ops()
 
 PATCHED = [
     (nt, "order_oracle"), (nt, "recover_rational"),
@@ -63,9 +60,9 @@ def _run(main, argv):
 
 
 def test_digest_list_is_complete():
-    assert len(DIGESTED) == 59
+    assert len(DIGESTED) == 60
     keys = {workloads.op_key(argv) for argv in DIGESTED}
-    assert keys | BENCH_ONLY == set(EXPECTED)
+    assert keys == set(EXPECTED)
 
 
 def test_tracer_installs_and_sees_every_layer():

@@ -120,6 +120,18 @@ def test_signed_residue_property(v, half_q):
     assert -q < 2 * t <= q
 
 
+@given(
+    st.integers(min_value=1, max_value=2**12),
+    st.lists(st.integers(min_value=-(2**40), max_value=2**40),
+             min_size=1, max_size=40),
+)
+def test_signed_residue_on_arrays(q, values):
+    got = nt.signed_residue(np.array(values, dtype=np.int64), q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [nt.signed_residue(v, q) for v in values]
+    assert all(-q < 2 * t <= q for t in got.tolist())
+
+
 def test_continued_fraction_examples():
     seq = nt.continued_fraction(192, 256)
     assert seq.convergents[-1] == (3, 4)

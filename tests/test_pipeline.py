@@ -17,14 +17,13 @@ from shorsim import (
     build_spectrum,
     choose_q,
     estimate_success,
-    recover_order,
     run_once,
     run_trials,
     sample_measurement,
     success_bound,
-    validate_modulus,
 )
 from shorsim import pipeline
+from shorsim.pipeline import recover_order, validate_modulus
 
 
 def test_choose_q_examples():
@@ -299,6 +298,12 @@ def test_trace_record_shape():
     assert record["n"] == 15 and record["x"] == 7
     assert record["factor_1"] == 3 and record["factor_2"] == 5
     assert record["failure_reason"] is None
+    assert list(record.items()) == [
+        ("n", 15), ("x", 7), ("ell", 4), ("r", 4), ("q", 256),
+        ("sampled_c", 64), ("sampled_k", 0), ("recovered_d", 1),
+        ("recovered_r", 4), ("order_verified", True), ("factor_1", 3),
+        ("factor_2", 5), ("failure_reason", None),
+    ]
     missing = run_once(15, 7, 3).to_record()
     assert missing["recovered_d"] is None
     assert missing["failure_reason"] == "bad_c_no_recovery"

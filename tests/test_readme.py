@@ -1,6 +1,7 @@
 """README.md is executable: its python blocks run and its transcripts replay.
 
-Every ```python block is executed. Every CLI example is replayed in process
+README and ``shorsim.__all__`` name the same library API. Every ```python
+block is executed. Every CLI example is replayed in process
 through ``shorsim.cli.main`` and compared with the documented output line by
 line, trailing blanks stripped (the README drops the padding of empty last
 columns). Two outputs are elided with ``...``: a text line is compared up to
@@ -8,7 +9,9 @@ the ``...``, and the JSON record is compared field by field on the fields
 shown.
 """
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -17,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import shorsim
+from shorsim import auditor, numtheory, pipeline, spectrum
 from shorsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,6 +60,38 @@ def _transcripts():
 TRANSCRIPTS = _transcripts()
 
 
+def _is_library_name(name: str) -> bool:
+    """True when a library module defines ``name``.
+
+    Modules and names imported from other packages (numpy, typing) do not
+    count; constants, which carry no ``__module__``, do.
+    """
+    for module in (numtheory, spectrum, pipeline, auditor):
+        obj = getattr(module, name, None)
+        if obj is None or inspect.ismodule(obj):
+            continue
+        if getattr(obj, "__module__", "shorsim").startswith("shorsim"):
+            return True
+    return False
+
+
+def _documented_names() -> set:
+    """Library names in README: inline code outside fenced blocks, and the
+    names the python blocks import from ``shorsim``."""
+    text = README.read_text()
+    names = set(re.findall(r"`([A-Za-z_]\w*)", FENCE.sub("", text)))
+    for lang, body, _ in _blocks():
+        if lang == "python":
+            names |= {
+                alias.name
+                for node in ast.walk(ast.parse(body))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "shorsim"
+                for alias in node.names
+            }
+    return {name for name in names if _is_library_name(name)}
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -66,6 +103,13 @@ def test_readme_lists_every_subcommand():
     assert sorted(argv[0] for argv, _ in TRANSCRIPTS) == [
         "audit", "simulate", "simulate", "spectrum", "sweep", "verify-bounds",
     ]
+
+
+def test_readme_names_exactly_the_exported_api():
+    documented = _documented_names()
+    exported = set(shorsim.__all__)
+    assert sorted(documented - exported) == [], "documented, not exported"
+    assert sorted(exported - documented) == [], "exported, not documented"
 
 
 @pytest.mark.parametrize("body,line", [
