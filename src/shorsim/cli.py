@@ -164,10 +164,13 @@ def cmd_audit(args) -> int:
     config = auditor.RegisterConfig(
         n=args.n, register1_qubits=args.s, register2_qubits=args.reg2
     )
-    report = auditor.audit(config)
-    out.write(report.to_text())
+    # Computed before any output, so a rejected --x leaves stdout empty.
+    appl = None
     if args.x is not None:
         appl = auditor.bound_argument_applicability(config, args.x)
+    report = auditor.audit(config)
+    out.write(report.to_text())
+    if appl is not None:
         out.write("\n")
         out.write(f"bound argument at x = {appl.x} (order r = {appl.r}):\n")
         out.write(f"  applicable = {_cell(appl.applicable)}\n")

@@ -123,17 +123,18 @@ def _sample_with_rng(
 ) -> tuple[int, int]:
     """Draw (c, k) with probability P(c, k) from a materialized table.
 
-    c comes from inverse-CDF sampling over the nonzero marginals. Given c,
-    the k-conditional depends only on the class size m_k, which takes the
-    two values A+1 (classes k < B) and A (classes k >= B) where
-    q = A*r + B; so k is drawn by picking a class-size group with the
-    appropriate weight and then uniformly inside the group.
+    c comes from inverse-CDF sampling over the cumulative marginals; a draw
+    at the very top of the range is clamped to the last c with nonzero
+    marginal. Given c, the k-conditional depends only on the class size
+    m_k, which takes the two values A+1 (classes k < B) and A (classes
+    k >= B) where q = A*r + B; so k is drawn by picking a class-size group
+    with the appropriate weight and then uniformly inside the group.
     """
-    support = table.support
-    cum = table.support_cumulative
+    cum = table.cumulative
     u = rng.random() * cum[-1]
-    idx = min(int(np.searchsorted(cum, u, side="right")), len(support) - 1)
-    c = int(support[idx])
+    c = int(np.searchsorted(cum, u, side="right"))
+    if c == table.q:
+        c = int(table.support[-1])
 
     r = table.r
     b = table.q % r

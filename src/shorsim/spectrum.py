@@ -15,6 +15,12 @@ exact zeros rather than rounding dust.
 A measured c is called *good* when its centered residue satisfies
 |{r c}_q| <= r/2: precisely those outcomes place c/q within 1/(2q) of a
 fraction d/r, which is what the continued-fraction step needs.
+
+With g = gcd(r, q), the residue r c mod q is a multiple of g and repeats
+with period q/g in c, so residues, flags and marginals are computed over
+one period and tiled; the kernel is needed only at the q/(2g) + 1
+magnitudes |t| in {0, g, 2g, ..., q/2}. The r | q case, whose support is
+the multiples of q/r, is the extreme of this structure.
 """
 
 import math
@@ -107,8 +113,9 @@ def _joint(q: int, r: int, c: int, k: int) -> float:
 
 
 def _signed_residues(r: int, q: int) -> np.ndarray:
-    """{r c}_q in (-q/2, q/2] for every c in [0, q)."""
-    return nt.signed_residue((r % q) * np.arange(q, dtype=np.int64), q)
+    """{r c}_q in (-q/2, q/2] for c in one period [0, q / gcd(r, q))."""
+    p = q // math.gcd(r, q)
+    return nt.signed_residue((r % q) * np.arange(p, dtype=np.int64), q)
 
 
 def joint_probability(
@@ -131,8 +138,11 @@ class SpectrumTable:
 
     Rows are indexed by c in [0, q). ``marginals[c]`` sums the joint
     probability over all k; ``signed_residues[c]`` is {r c}_q in
-    (-q/2, q/2]; ``good_flags[c]`` marks |{r c}_q| <= r/2. The arrays are
-    frozen, so a table can be shared freely across threads.
+    (-q/2, q/2]; ``good_flags[c]`` marks |{r c}_q| <= r/2. All three repeat
+    with period q/gcd(r, q) in c. ``cumulative`` is the running sum of the
+    marginals over every c, computed on first use for inverse-CDF
+    sampling. The arrays are frozen, so a table can be shared freely across
+    threads.
     """
 
     q: int
@@ -161,37 +171,52 @@ class SpectrumTable:
         return np.flatnonzero(self.marginals > 0.0)
 
     @cached_property
-    def support_cumulative(self) -> np.ndarray:
-        """Cumulative marginals over the support, for inverse-CDF sampling."""
-        return np.cumsum(self.marginals[self.support])
+    def cumulative(self) -> np.ndarray:
+        """Running sum of the marginals over all c, for inverse-CDF sampling.
+
+        Zero marginals add +0.0, which leaves a float sum unchanged, so its
+        values at the support equal the cumulative sum over the support.
+        """
+        return np.cumsum(self.marginals)
 
 
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:
-    """Compute the full marginal distribution over c in O(q + r) work.
+    """Compute the full marginal distribution over c.
 
     The joint probability depends on k only through m_k, which takes at most
     two values A and A+1 with multiplicities r - B and B (q = A*r + B), so
-    the k-sum collapses to a two-term combination of kernel values.
+    the k-sum collapses to a two-term combination of kernel values. With
+    g = gcd(r, q), the residues, flags and marginals are computed for one
+    period of q/g values of c and tiled to length q, and the kernel is
+    evaluated at the q/(2g) + 1 residue magnitudes 0, g, ..., q/2. When
+    g = 1 the period is the whole table and nothing is copied.
     """
     _require_power_of_two(q)
     r = instance.r
     a, b = divmod(q, r)
+    g = math.gcd(r, q)
 
     signed = _signed_residues(r, q)
     abs_t = np.abs(signed)
-    good = 2 * abs_t <= r
+    good = abs_t <= r // 2
 
-    # The marginal depends on c only through |{r c}_q| in [0, q/2], so the
-    # kernel is evaluated once per residue magnitude, not once per c.
-    per_t = np.empty(q // 2 + 1)
+    # The marginal depends on c only through |{r c}_q|, a multiple of g in
+    # [0, q/2], so the kernel is evaluated once per such magnitude.
+    per_t = np.empty(q // (2 * g) + 1)
     # Peaks: rc = 0 (mod q), every class contributes (m_k/q)^2.
     per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
-    t = np.arange(1, q // 2 + 1)
+    t = np.arange(g, q // 2 + 1, g)
     per_t[1:] = (
         b * _kernel(a + 1, t, q, np.sin) + (r - b) * _kernel(a, t, q, np.sin)
     ) / q**2
-    marginals = per_t[abs_t]
+    # g divides the power of two q, so |t| / g is a shift, done in place.
+    abs_t >>= g.bit_length() - 1
 
+    # Tile the period to length q; for g = 1 the reshape is a view, no copy.
+    marginals, signed, good = (
+        np.broadcast_to(arr, (g, q // g)).reshape(q)
+        for arr in (per_t[abs_t], signed, good)
+    )
     for arr in (marginals, signed, good):
         arr.setflags(write=False)
     return SpectrumTable(
@@ -211,8 +236,10 @@ def good_c_set(r: int, q: int) -> set[int]:
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
     _require_power_of_two(q)
-    abs_t = np.abs(_signed_residues(r, q))
-    return set(np.flatnonzero(2 * abs_t <= r).tolist())
+    period = _signed_residues(r, q)
+    p = len(period)
+    good = np.flatnonzero(np.abs(period) <= r // 2)
+    return set((good + p * np.arange(q // p)[:, None]).ravel().tolist())
 
 
 def integral_term(theta: float, r: int) -> float:

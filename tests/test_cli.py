@@ -125,6 +125,15 @@ def test_audit_with_nonunit_base_is_usage_error():
     assert result.returncode == 1
 
 
+def test_audit_rejected_base_writes_nothing_to_stdout():
+    # the base is checked before the audit report is written
+    result = run_cli("audit", "--n", "15", "--s", "8", "--reg2", "4",
+                     "--x", "1")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "base must be in [2, 14]" in result.stderr
+
+
 def test_spectrum_default_q():
     result = run_cli("spectrum", "--n", "15", "--x", "7",
                      "--format", "delimited-table")

@@ -77,6 +77,65 @@ def test_sample_measurement_frequencies():
         assert abs(count / draws - 0.25) < 0.005
 
 
+def support_restricted_sample(table, rng):
+    """The sampler as it was before the full cumulative.
+
+    Inverse CDF over the cumsum of the marginals gathered at the support,
+    with the index clamped to the last support element.
+    """
+    support = table.support
+    cum = np.cumsum(table.marginals[support])
+    u = rng.random() * cum[-1]
+    idx = min(int(np.searchsorted(cum, u, side="right")), len(support) - 1)
+    c = int(support[idx])
+    r, b = table.r, table.q % table.r
+    if b == 0:
+        return c, int(rng.integers(0, r))
+    group_hi = b * table.joint(c, 0)
+    group_lo = (r - b) * table.joint(c, b)
+    if rng.random() * (group_hi + group_lo) < group_hi:
+        return c, int(rng.integers(0, b))
+    return c, int(rng.integers(b, r))
+
+
+SAMPLER_CASES = [(15, 7, 256), (15, 14, 256), (21, 2, 512), (221, 2, 65536),
+                 (15, 7, 2)]
+
+
+@pytest.mark.parametrize("n,x,q", SAMPLER_CASES)
+def test_sampler_matches_support_restricted_inverse_cdf(n, x, q):
+    table = build_spectrum(FactoringInstance.create(n, x), q)
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        expected = support_restricted_sample(table, rng)
+        assert sample_measurement(table, seed) == expected, seed
+
+
+class _TopOfRange:
+    """Generator stub: random() returns one value, integers() the low end."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+    def integers(self, lo, hi):
+        return lo
+
+
+@pytest.mark.parametrize("n,x,q", SAMPLER_CASES)
+def test_sampler_top_of_range_draws_last_support_c(n, x, q):
+    table = build_spectrum(FactoringInstance.create(n, x), q)
+    last = int(table.support[-1])
+    # 1 - 2^-53 is the largest value random() returns; 1.0 lies beyond it
+    # and is the draw that reaches the clamp
+    for value in (1.0 - 2.0**-53, 1.0):
+        c, k = pipeline._sample_with_rng(table, _TopOfRange(value))
+        assert c == last
+        assert (c, k) == support_restricted_sample(table, _TopOfRange(value))
+
+
 def test_recover_order_examples():
     assert recover_order(192, 256, 15) == (3, 4)
     assert recover_order(0, 256, 15) is None

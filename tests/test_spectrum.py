@@ -6,6 +6,7 @@ exp(2 pi i a c / q) directly. Anything the fast path gets wrong shows up as
 a mismatch here.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from shorsim import (
     joint_probability,
     verify_bounds,
 )
+from shorsim import numtheory as nt
+from shorsim.spectrum import _kernel
 
 # q <= 2^10 instances exercising r | q, r not dividing q, r = 2, and the
 # degenerate q = 2 register
@@ -237,3 +240,67 @@ def test_spectrum_normalization_property(n, data):
     # good flags agree with the definitional test on the signed residue
     t = np.abs(table.signed_residues)
     np.testing.assert_array_equal(table.good_flags, 2 * t <= table.r)
+
+
+def full_length_spectrum(r: int, q: int):
+    """(marginals, signed_residues, good_flags) computed over every c.
+
+    The reference for the period-based build: residues for all q values of
+    c, and the kernel at every magnitude |t| <= q/2, not only multiples of
+    gcd(r, q).
+    """
+    a, b = divmod(q, r)
+    signed = nt.signed_residue((r % q) * np.arange(q, dtype=np.int64), q)
+    abs_t = np.abs(signed)
+    per_t = np.empty(q // 2 + 1)
+    per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
+    t = np.arange(1, q // 2 + 1)
+    per_t[1:] = (
+        b * _kernel(a + 1, t, q, np.sin) + (r - b) * _kernel(a, t, q, np.sin)
+    ) / q**2
+    return per_t[abs_t], signed, 2 * abs_t <= r
+
+
+@functools.cache
+def instance_of_order(r: int) -> FactoringInstance:
+    """Base 2 modulo 2^r - 1, whose order is exactly r."""
+    return FactoringInstance.create((1 << r) - 1, 2)
+
+
+# Every power of two q <= 2^12 with odd r (g = 1), r | q, r > q, and
+# g = gcd(r, q) = 2^j for every j up to log2(q).
+PERIOD_GRID = sorted(
+    (r, q)
+    for q in (1 << s for s in range(1, 13))
+    for r in {
+        3, 5, 7, 15, 21, 195, q - 1, q + 1,
+        *(m << j for m in (1, 3, 5) for j in range(q.bit_length() + 1)),
+    }
+    if 2 <= r <= 3 * q
+)
+
+
+def test_build_spectrum_equals_full_length_formula_bitwise():
+    for r, q in PERIOD_GRID:
+        table = build_spectrum(instance_of_order(r), q)
+        expected = full_length_spectrum(r, q)
+        got = (table.marginals, table.signed_residues, table.good_flags)
+        for name, a, b in zip(("marginals", "residues", "flags"), got,
+                              expected):
+            assert a.dtype == b.dtype and a.shape == (q,), (name, r, q)
+            assert a.tobytes() == b.tobytes(), (name, r, q)
+
+
+def test_good_c_set_equals_full_length_flags():
+    for r, q in PERIOD_GRID + [(1, 1 << s) for s in range(1, 13)]:
+        flags = full_length_spectrum(r, q)[2]
+        assert good_c_set(r, q) == set(np.flatnonzero(flags).tolist()), (
+            r, q)
+
+
+def test_cumulative_at_support_equals_support_cumsum():
+    for r, q in PERIOD_GRID:
+        table = build_spectrum(instance_of_order(r), q)
+        support = table.support
+        expected = np.cumsum(table.marginals[support])
+        assert table.cumulative[support].tobytes() == expected.tobytes()
