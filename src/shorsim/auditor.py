@@ -23,13 +23,12 @@ Checks A, C, D gate the verdict; B and E are recorded but not fatal.
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import numtheory as nt
+from . import numtheory as nt, spectrum
 from .spectrum import FactoringInstance, verify_bounds
 
 COND_Q_GE_N2 = "COND_Q_GE_N2"
@@ -91,10 +90,49 @@ class AuditCheck:
     hard: bool
 
 
+# Largest modulus whose candidate list (every d < r < n) has fewer than 2^30
+# entries, so that int32 holds each d, r and block offset r(r - 1)/2. Near
+# this n the build needs about 16 GB (15 bytes per candidate), the list
+# keeps 5 GB and each pair-count pass needs 18 GB more (27 bytes per
+# fraction), so in practice memory sets the limit well below it.
+MAX_FRACTION_MODULUS = 46341
+
+
 @functools.cache
 def count_fractions(n: int) -> int:
-    """Number of reduced fractions d/r in [0, 1) with denominator r < n."""
-    return 1 + sum(nt.euler_phi(r) for r in range(2, n))
+    """Number of reduced fractions d/r in [0, 1) with denominator r < n.
+
+    1 + sum of phi(r) for 2 <= r < n, with phi from a sieve: each prime p
+    multiplies phi(m) by (1 - 1/p) for every multiple m. O(n) memory, and
+    no fraction list is built.
+    """
+    phi = np.arange(n, dtype=np.int64)
+    for p in range(2, n):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    return 1 + int(phi[2:].sum())
+
+
+@functools.lru_cache(maxsize=4)
+def _fractions(n: int) -> tuple:
+    """The reduced fractions d/r in [0, 1) with r < n, as int32 arrays.
+
+    Lists every d < r for r = 1 .. n - 1 (r repeated r times, d the offset
+    inside its block) and keeps the pairs with gcd(d, r) = 1; 0/1 is the
+    only one with d = 0. The list does not depend on q, so it is built once
+    per n, and only the few most recent n are kept. It holds about
+    0.3 n^2 fractions at 8 bytes each: 2.4 MB at n = 1001.
+    """
+    if n > MAX_FRACTION_MODULUS:
+        raise ValueError(
+            f"the fraction list supports n <= {MAX_FRACTION_MODULUS}, got {n}"
+        )
+    r = np.repeat(np.arange(1, n, dtype=np.int32), np.arange(1, n))
+    d = np.arange(r.size, dtype=np.int32) - (r - 1) * r // 2
+    keep = np.gcd(d, r) == 1
+    d, r = d[keep], r[keep]
+    d.flags.writeable = r.flags.writeable = False
+    return d, r
 
 
 def count_indistinguishable_pairs(n: int, q: int) -> int:
@@ -103,30 +141,29 @@ def count_indistinguishable_pairs(n: int, q: int) -> int:
     Two fractions are indistinguishable when some observable c lies within
     1/(2q) of both, so a measurement consistent with one is consistent with
     the other. For each c the number of consistent fractions k_c is
-    accumulated and the pair count is sum over c of C(k_c, 2); a pair can
+    counted and the pair count is sum over c of C(k_c, 2); a pair can
     share at most one c unless both fractions sit exactly on the midpoint
     between neighbouring grid points, which distinct fractions cannot, so
     nothing is double counted. For q >= n^2 the count is provably zero:
-    distinct candidate fractions differ by more than 1/(n-1)^2 > 1/q.
+    distinct candidate fractions differ by more than 1/(n-1)^2 > 1/q, and
+    no fraction list is built.
+
+    The c consistent with d/r satisfy |2cr - 2dq| <= r, an integer range
+    [lo, hi] with hi - lo in {0, 1}, 0 <= lo and hi <= q. One vectorised
+    pass over the cached fraction list bincounts every lo and every
+    hi > lo; c = q lies outside the register and is dropped. d is widened
+    to int64 for the product 2dq, which stays below 2nq < 2n^3 <= 2^48 for
+    n <= ``MAX_FRACTION_MODULUS``: far inside int64.
     """
     if q >= n * n:
         return 0
-    counts = np.zeros(q, dtype=np.int64)
-    for r in range(1, n):
-        d = np.arange(r, dtype=np.int64)
-        d = d[np.gcd(d, r) == 1]
-        num = 2 * d * q
-        # c consistent with d/r form the integer range [lo, hi]; the real
-        # interval has length exactly 1, so hi - lo is 0 or 1.
-        lo = -((r - num) // (2 * r))
-        hi = (num + r) // (2 * r)
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, q - 1)
-        valid = lo <= hi
-        np.add.at(counts, lo[valid], 1)
-        two = valid & (hi > lo)
-        np.add.at(counts, hi[two], 1)
-    return int((counts * (counts - 1) // 2).sum())
+    d, r = _fractions(n)
+    num = d.astype(np.int64) * (2 * q)
+    lo = -((r - num) // (2 * r))
+    hi = (num + r) // (2 * r)
+    k = (np.bincount(lo, minlength=q + 1)
+         + np.bincount(hi[hi > lo], minlength=q + 1))[:q]
+    return int((k @ k - k.sum()) // 2)
 
 
 @dataclass(frozen=True)
@@ -271,6 +308,8 @@ def bound_argument_applicability(
 ) -> ApplicabilityReport:
     """Check whether the amplitude-integral estimate is meaningful at (n, s)."""
     n, s, q = config.n, config.register1_qubits, config.q
+    # Checked before the oracle, whose own range for x admits x = 1.
+    spectrum._require_instance_range(n, x)
     r = nt.order_oracle(x, n)
     applicable = q >= n * n
     if applicable:

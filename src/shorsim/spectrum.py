@@ -156,14 +156,17 @@ class SpectrumTable:
         return _joint(self.q, self.r, c, k)
 
     def rows(self):
-        """Yield (c, marginal_probability, signed_residue, good_flag) rows."""
-        for c in range(self.q):
-            yield (
-                c,
-                float(self.marginals[c]),
-                int(self.signed_residues[c]),
-                bool(self.good_flags[c]),
-            )
+        """Yield (c, marginal_probability, signed_residue, good_flag) rows.
+
+        The values are Python float, int and bool, converted per array by
+        ``tolist``.
+        """
+        yield from zip(
+            range(self.q),
+            self.marginals.tolist(),
+            self.signed_residues.tolist(),
+            self.good_flags.tolist(),
+        )
 
     @cached_property
     def support(self) -> np.ndarray:

@@ -10,9 +10,13 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorsim import (
     COND_CFE_DISTINGUISH,
@@ -29,6 +33,7 @@ from shorsim import (
     count_fractions,
     count_indistinguishable_pairs,
 )
+from shorsim import auditor
 from shorsim.auditor import SINGLE_QUBIT_NOTE
 from shorsim.numtheory import euler_phi
 
@@ -62,6 +67,81 @@ def test_pair_counter_matches_brute_force(n, q):
     assert count_indistinguishable_pairs(n, q) == brute_pairs(n, q)
 
 
+def definition_pairs(n: int, q: int) -> int:
+    """Sum over c of C(k_c, 2), k_c the fractions with |2cr - 2dq| <= r.
+
+    Pure-Python integers throughout. Any such c lies within 1/2 of dq/r,
+    so a window of four c around floor(dq/r) holds all of them.
+    """
+    k = Counter()
+    for r in range(1, n):
+        for d in range(r):
+            if math.gcd(d, r) == 1:
+                base = d * q // r
+                for c in range(max(base - 1, 0), min(base + 3, q)):
+                    if abs(2 * c * r - 2 * d * q) <= r:
+                        k[c] += 1
+    return sum(m * (m - 1) // 2 for m in k.values())
+
+
+def totient_sieve_fractions(n: int) -> int:
+    phi = list(range(n))
+    for p in range(2, n):
+        if phi[p] == p:
+            for m in range(p, n, p):
+                phi[m] -= phi[m] // p
+    return 1 + sum(phi[2:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 60), s=st.integers(1, 12))
+def test_pair_counter_matches_definition(n, s):
+    assert count_indistinguishable_pairs(n, 1 << s) == definition_pairs(
+        n, 1 << s
+    )
+    assert count_fractions(n) == totient_sieve_fractions(n)
+    assert count_fractions(n) == len(auditor._fractions(n)[0])
+
+
+def test_pair_counter_int64_headroom_at_largest_grid_n():
+    # n = 1001 is the largest audited modulus in the benchmark grid, and
+    # 2^19 the largest q below n^2, so 2dq is the largest product counted.
+    n, q = 1001, 1 << 19
+    d, r = auditor._fractions(n)
+    assert d.dtype == r.dtype == np.int32
+    assert 2 * int(d.max()) * q + int(r.max()) < 2 * n**3 < 2**63
+    assert count_indistinguishable_pairs(n, q) == definition_pairs(n, q)
+
+
+def test_fraction_cache_stays_bounded():
+    for n in range(3, 40):
+        audit(RegisterConfig(n=n, register1_qubits=3, register2_qubits=6))
+    info = auditor._fractions.cache_info()
+    assert info.maxsize == 4
+    assert info.currsize <= info.maxsize
+
+
+def test_audit_at_sufficient_width_builds_no_fraction_list():
+    # q >= n^2 needs only the fraction count, so n above the list's limit
+    # audits in O(n) memory.
+    n = auditor.MAX_FRACTION_MODULUS + 2
+    misses = auditor._fractions.cache_info().misses
+    report = audit(RegisterConfig(n=n, register1_qubits=32,
+                                  register2_qubits=16))
+    c = report.check(COND_CFE_DISTINGUISH)
+    assert c.evidence["fraction_count"] == totient_sieve_fractions(n)
+    assert c.evidence["indistinguishable_pairs"] == 0
+    assert report.verdict is Verdict.COMPLIANT
+    assert auditor._fractions.cache_info().misses == misses
+
+
+def test_fraction_list_is_read_only_and_size_checked():
+    d, r = auditor._fractions(15)
+    assert not d.flags.writeable and not r.flags.writeable
+    with pytest.raises(ValueError, match="fraction list supports n <="):
+        auditor._fractions(auditor.MAX_FRACTION_MODULUS + 1)
+
+
 def test_pair_counter_zero_at_sufficient_width():
     assert count_indistinguishable_pairs(15, 256) == 0
     assert count_indistinguishable_pairs(9, 128) == 0
@@ -91,7 +171,7 @@ def test_audit_single_qubit_register():
     assert a.evidence == {"q": 2, "n_squared": 225}
     c = report.check(COND_CFE_DISTINGUISH)
     assert not c.passed
-    assert c.evidence["indistinguishable_pairs"] == brute_pairs(15, 2)
+    assert c.evidence["indistinguishable_pairs"] == brute_pairs(15, 2) == 664
     assert c.evidence["fraction_count"] == 64
     assert "{0, 1}" in c.description
     assert COND_Q_GE_N2 in report.narrative
@@ -216,25 +296,26 @@ def test_applicability_rejects_nonunit():
 
 # BLAKE2b-128 of the JSON list of outcomes for s = 1 .. 2*ell + 1 at
 # register2_qubits = ell: each outcome is the report's fields, or
-# [exception type, message]. The bases are 0, 1, 2, n - 1, n and a non-unit.
+# [exception type, message]. The bases are 0, 1, 2, n - 1, n and a non-unit;
+# 0, 1 and n fail at every width with "base must be in [2, n - 1]".
 APPLICABILITY_DIGESTS = {
-    (15, 0): "d97907e05ffa13f69b921b915cc664ad",
-    (15, 1): "e3047627cf40ab3e7a3923dea0896c5f",
+    (15, 0): "7dec4d42810b0e54ca92c07df22d2cc9",
+    (15, 1): "cab41937543672dda5461b4bfe63ce01",
     (15, 2): "272f799f0b424bb5214b8a4c473fbe24",
     (15, 14): "08af97ea716877c9522b8910cf5f2011",
-    (15, 15): "0010d418fb04d0230903983316a6c98c",
+    (15, 15): "2ac6fa39125f553b7ceeb2485c2c3be9",
     (15, 3): "646418024afa50e63248fb173adf92f1",
-    (21, 0): "3a581003945a34d13000826bd69c84d6",
-    (21, 1): "73e7339b2c6e56095898b5e8b7483310",
+    (21, 0): "2419abc9135555c49dcb7b81c8e43ba0",
+    (21, 1): "99db4796b468f0326ee4f3d42e9b54d5",
     (21, 2): "5fed865f10e9b97513df4fbde2f93b9a",
     (21, 20): "0b4fd4691fb5800ba294449ff07c4b7d",
-    (21, 21): "30c5c015b317ac88cba95bec9a9df61e",
+    (21, 21): "a614729de9b29f3204922ae20ee8fbd5",
     (21, 3): "58a24c832cbc69b8d4bbbc9ff62c68b1",
-    (33, 0): "fde8ae96f6cd4d17ac7b8b7a9f5b38aa",
-    (33, 1): "1ba3dc31b40d760e2ffa86fe864ad440",
+    (33, 0): "dfaaece78eef5e7952c53efb5d283f4f",
+    (33, 1): "403f10cd820ec26bc0f1c537281e60c2",
     (33, 2): "7980f2b11fd7198ac6e82899c0a12189",
     (33, 32): "10b2e6e2e1303c01d3fe676dca6e9c63",
-    (33, 33): "9306290e4d21279e623c506c74dbd06b",
+    (33, 33): "b244a52277e349514c9c997deb7fa3d8",
     (33, 3): "a75efd36563cb02b0bf0318542782168",
 }
 
@@ -255,6 +336,14 @@ def test_applicability_pinned(n, x):
         json.dumps(outcomes).encode(), digest_size=16
     ).hexdigest()
     assert digest == APPLICABILITY_DIGESTS[n, x]
+
+
+@pytest.mark.parametrize("x", [0, 1, 15])
+def test_applicability_rejects_base_out_of_range_at_every_width(x):
+    for s in range(1, 10):
+        config = RegisterConfig(n=15, register1_qubits=s, register2_qubits=4)
+        with pytest.raises(ValueError, match=r"base must be in \[2, 14\]"):
+            bound_argument_applicability(config, x)
 
 
 def test_register_config_validation():

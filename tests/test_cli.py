@@ -134,6 +134,16 @@ def test_audit_rejected_base_writes_nothing_to_stdout():
     assert "base must be in [2, 14]" in result.stderr
 
 
+def test_audit_rejects_base_one_at_single_qubit_width():
+    # s = 1 never builds an instance, so only the explicit range check
+    # stops a report for "order r = 1"
+    result = run_cli("audit", "--n", "15", "--s", "1", "--reg2", "4",
+                     "--x", "1")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "base must be in [2, 14], got 1" in result.stderr
+
+
 def test_spectrum_default_q():
     result = run_cli("spectrum", "--n", "15", "--x", "7",
                      "--format", "delimited-table")

@@ -1,0 +1,168 @@
+"""The column-wise CLI writers write the bytes the row-wise ones wrote.
+
+``ref_*`` below are the row-wise writers the CLI used before it formatted
+one column at a time, kept verbatim as the reference: they take one dict
+per row. Each CLI command is run twice, once as it stands and once with
+``cli._emit`` and ``cli._write_aligned`` replaced by the reference fed the
+same values row by row, and the two stdouts must be equal byte for byte.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from shorsim import cli
+
+
+def ref_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def ref_jsonable(record: dict) -> dict:
+    return {
+        k: float(f"{v:.12g}") if isinstance(v, float) else v
+        for k, v in record.items()
+    }
+
+
+def ref_write_csv(records: list, out) -> None:
+    keys = list(records[0])
+    out.write(",".join(keys) + "\n")
+    for rec in records:
+        out.write(",".join(ref_cell(rec[k]) for k in keys) + "\n")
+
+
+def ref_write_aligned(records: list, out, keys=None) -> None:
+    keys = list(records[0]) if keys is None else keys
+    cells = [[ref_cell(rec[k]) for k in keys] for rec in records]
+    widths = [
+        max(len(k), max(len(row[i]) for row in cells))
+        for i, k in enumerate(keys)
+    ]
+    out.write("  ".join(k.rjust(w) for k, w in zip(keys, widths)) + "\n")
+    for row in cells:
+        out.write("  ".join(v.rjust(w) for v, w in zip(row, widths)) + "\n")
+
+
+def ref_emit(fmt: str, records: list, human, out, summary=None) -> None:
+    if fmt == "structured-record":
+        for rec in records + ([summary] if summary else []):
+            out.write(json.dumps(ref_jsonable(rec)) + "\n")
+    elif fmt == "delimited-table":
+        ref_write_csv(records, out)
+        for k, v in (summary or {}).items():
+            out.write(f"# {k} = {ref_cell(v)}\n")
+    else:
+        human(out)
+
+
+def records_of(columns: dict) -> list:
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def run(argv) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def run_row_wise(argv, monkeypatch) -> tuple:
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda fmt, columns, human, out, summary=None:
+                  ref_emit(fmt, records_of(columns), human, out, summary))
+        m.setattr(cli, "_write_aligned", lambda columns, out:
+                  ref_write_aligned(records_of(columns), out))
+        return run(argv)
+
+
+SPECTRA = [(15, 7, 2), (15, 7, 16), (15, 7, 256), (21, 2, 512), (33, 2, 2048)]
+SIMULATIONS = [
+    ["--n", "15", "--x", "7", "--trials", "1"],
+    ["--n", "15", "--x", "7", "--trials", "5"],
+    ["--n", "21", "--x", "2", "--trials", "20"],
+    ["--n", "15", "--x", "7", "--trials", "400"],  # the aggregate record
+    ["--n", "15", "--x", "5", "--trials", "3"],  # gcd reveals a factor
+]
+CASES = (
+    [["spectrum", "--n", str(n), "--x", str(x), "--q", str(q),
+      "--format", f] for n, x, q in SPECTRA for f in cli.FORMATS]
+    + [["simulate", *args, "--seed", "3", "--format", f]
+       for args in SIMULATIONS for f in cli.FORMATS]
+    + [["sweep", "--n-list", "15,21,33", "--trials", "200", "--seed", "2"],
+       ["sweep", "--n-list", "15", "--bases", "2,7,8,13", "--trials", "50"],
+       ["verify-bounds", "--n", "15", "--x", "7"],
+       ["verify-bounds", "--n", "21", "--x", "2"]]
+)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_equals_row_wise_reference(argv, monkeypatch):
+    new = run(argv)
+    assert new[0] == 0 and new[1]
+    assert new == run_row_wise(argv, monkeypatch)
+
+
+def test_spectrum_cases_cover_every_float_form():
+    # Exact zeros, dyadic values and floats printed in exponent form.
+    cells = set()
+    for n, x, q in SPECTRA:
+        _, text = run(["spectrum", "--n", str(n), "--x", str(x),
+                       "--q", str(q), "--format", "delimited-table"])
+        cells |= {line.split(",")[1] for line in text.splitlines()[1:]
+                  if not line.startswith("#")}
+    assert {"0", "0.25", "0.5"} <= cells
+    assert any("e-" in c for c in cells)
+
+
+AWKWARD = {
+    "a, b": ["x, y", "50%s", 'say "hi"\n', None],
+    "100%": [True, False, 1, 0],
+    "f": [-0.0, math.nan, math.inf, np.float64(1 / 3)],
+    "g": [1e-5, 123456789012345.0, 2.0**-70, 0.1 + 0.2],
+    "h": list(np.linspace(0.0, 1.0, 4)[::-1] / 3),  # numpy floats only
+}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_writers_equal_reference_on_awkward_values(fmt):
+    records = records_of(AWKWARD)
+    summary = {"p": 1.0 / 7, "q": None}
+
+    def human(out):
+        cli._write_aligned(AWKWARD, out)
+
+    def ref_human(out):
+        ref_write_aligned(records, out)
+
+    new, ref = io.StringIO(), io.StringIO()
+    cli._emit(fmt, AWKWARD, human, new, summary)
+    ref_emit(fmt, records, ref_human, ref, summary)
+    assert new.getvalue() == ref.getvalue()
+
+
+def test_writers_bound_the_text_formatted_at_once(monkeypatch):
+    writes = []
+
+    class Out:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    columns = {"c": list(range(10)), "p": [c / 10 for c in range(10)]}
+    cli._write_csv(columns, Out())
+    assert len(writes) == 1 + 4  # the header, then rows 3 + 3 + 3 + 1
+    ref = io.StringIO()
+    ref_write_csv(records_of(columns), ref)
+    assert "".join(writes) == ref.getvalue()
