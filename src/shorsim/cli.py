@@ -241,7 +241,9 @@ def cmd_spectrum(args) -> int:
     }
     summary = {
         "normalization": float(table.marginals.sum()),
-        "p_min_good_c": float(table.marginals[table.good_flags].min()),
+        "p_min_good_c": float(
+            table.period_marginals[table.period_flags].min()
+        ),
     }
 
     def human(out):

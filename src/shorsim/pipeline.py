@@ -121,20 +121,31 @@ class RunTrace:
 def _sample_with_rng(
     table: SpectrumTable, rng: np.random.Generator
 ) -> tuple[int, int]:
-    """Draw (c, k) with probability P(c, k) from a materialized table.
+    """Draw (c, k) with probability P(c, k) from a one-period table.
 
-    c comes from inverse-CDF sampling over the cumulative marginals; a draw
-    at the very top of the range is clamped to the last c with nonzero
-    marginal. Given c, the k-conditional depends only on the class size
-    m_k, which takes the two values A+1 (classes k < B) and A (classes
-    k >= B) where q = A*r + B; so k is drawn by picking a class-size group
-    with the appropriate weight and then uniformly inside the group.
+    The q/p copies of the period [0, p) carry equal mass, so one uniform
+    draw, scaled by their number, picks a copy by its integer part and c
+    inside that copy by inverse-CDF sampling of its fraction over the
+    period's cumulative marginals. A draw at the very top of a copy is
+    clamped to the copy's last c with nonzero marginal. Given c, the
+    k-conditional depends only on the class size m_k, which takes the two
+    values A+1 (classes k < B) and A (classes k >= B) where q = A*r + B; so
+    k is drawn by picking a class-size group with the appropriate weight
+    and then uniformly inside the group.
     """
     cum = table.cumulative
-    u = rng.random() * cum[-1]
-    c = int(np.searchsorted(cum, u, side="right"))
-    if c == table.q:
-        c = int(table.support[-1])
+    p = len(cum)
+    copies = table.q // p
+    # copies is a power of two, so v and its fraction v - copy are exact.
+    v = rng.random() * copies
+    copy = int(v)
+    if copy == copies:  # only a draw of 1.0, which no Generator makes
+        copy -= 1
+    # The method skips np.searchsorted's dispatch, ~1 us of each trial.
+    j = int(cum.searchsorted((v - copy) * cum[-1], "right"))
+    if j == p:
+        j = int(np.flatnonzero(table.period_marginals > 0.0)[-1])
+    c = copy * p + j
 
     r = table.r
     b = table.q % r

@@ -17,10 +17,11 @@ A measured c is called *good* when its centered residue satisfies
 fraction d/r, which is what the continued-fraction step needs.
 
 With g = gcd(r, q), the residue r c mod q is a multiple of g and repeats
-with period q/g in c, so residues, flags and marginals are computed over
-one period and tiled; the kernel is needed only at the q/(2g) + 1
-magnitudes |t| in {0, g, 2g, ..., q/2}. The r | q case, whose support is
-the multiples of q/r, is the extreme of this structure.
+with period q/g in c, so residues, flags and marginals are computed and
+stored for one period only, and every c reads its row at c mod q/g; the
+kernel is needed only at the q/(2g) + 1 magnitudes |t| in
+{0, g, 2g, ..., q/2}. The r | q case, whose support is the multiples of
+q/r, is the extreme of this structure.
 """
 
 import math
@@ -92,11 +93,11 @@ def _kernel(m, abs_t, q: int, sin=math.sin):
 
     Reduces m*|t| mod q before taking the sine so that exact cancellations
     (m*t a multiple of q) produce exactly 0.0. Scalars go through
-    ``math.sin``; pass ``sin=np.sin`` to evaluate a whole residue array.
+    ``math.sin``; pass ``sin=np.sin`` to evaluate a whole residue array,
+    and a column of class sizes as ``m`` to share the denominator.
     """
-    num = sin(math.pi * (m * abs_t % q) / q)
-    den = sin(math.pi * abs_t / q)
-    return num**2 / den**2
+    num = sin(math.pi * (m * abs_t % q) / q) ** 2
+    return num / sin(math.pi * abs_t / q) ** 2
 
 
 def _joint(q: int, r: int, c: int, k: int) -> float:
@@ -118,6 +119,11 @@ def _signed_residues(r: int, q: int) -> np.ndarray:
     return nt.signed_residue((r % q) * np.arange(p, dtype=np.int64), q)
 
 
+def _all_copies(idx: np.ndarray, p: int, copies: int) -> np.ndarray:
+    """Every c in [0, copies * p) with c mod p in ``idx``, ascending."""
+    return (idx + p * np.arange(copies)[:, None]).ravel()
+
+
 def joint_probability(
     instance: FactoringInstance, q: int, c: int, k: int
 ) -> float:
@@ -134,22 +140,25 @@ def joint_probability(
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Materialized measurement distribution over c for one instance.
+    """Measurement distribution over c for one instance, stored as one period.
 
-    Rows are indexed by c in [0, q). ``marginals[c]`` sums the joint
-    probability over all k; ``signed_residues[c]`` is {r c}_q in
-    (-q/2, q/2]; ``good_flags[c]`` marks |{r c}_q| <= r/2. All three repeat
-    with period q/gcd(r, q) in c. ``cumulative`` is the running sum of the
-    marginals over every c, computed on first use for inverse-CDF
-    sampling. The arrays are frozen, so a table can be shared freely across
-    threads.
+    Every per-c quantity repeats with period p = q/gcd(r, q) in c, so the
+    table holds c in [0, p) only, and c in [0, q) reads row c mod p.
+    ``period_marginals[c]`` sums the joint probability over all k;
+    ``period_residues[c]`` is {r c}_q in (-q/2, q/2]; ``period_flags[c]``
+    marks |{r c}_q| <= r/2. ``marginals``, ``signed_residues`` and
+    ``good_flags`` are the same arrays over all q values of c, tiled on
+    first access (for gcd(r, q) = 1 they are the period arrays themselves).
+    ``cumulative`` is the running sum of the period marginals, computed on
+    first use for inverse-CDF sampling. The arrays are frozen, so a table
+    can be shared freely across threads.
     """
 
     q: int
     r: int
-    marginals: np.ndarray
-    signed_residues: np.ndarray
-    good_flags: np.ndarray
+    period_marginals: np.ndarray
+    period_residues: np.ndarray
+    period_flags: np.ndarray
 
     def joint(self, c: int, k: int) -> float:
         """Joint probability P(c, k) recomputed from the closed form."""
@@ -158,72 +167,98 @@ class SpectrumTable:
     def rows(self):
         """Yield (c, marginal_probability, signed_residue, good_flag) rows.
 
-        The values are Python float, int and bool, converted per array by
-        ``tolist``.
+        The values are Python float, int and bool, converted per period
+        array by ``tolist`` and repeated once per period.
         """
+        copies = self.q // len(self.period_marginals)
         yield from zip(
             range(self.q),
-            self.marginals.tolist(),
-            self.signed_residues.tolist(),
-            self.good_flags.tolist(),
+            self.period_marginals.tolist() * copies,
+            self.period_residues.tolist() * copies,
+            self.period_flags.tolist() * copies,
         )
+
+    def _tiled(self, period: np.ndarray) -> np.ndarray:
+        """``period`` tiled to length q, read-only; a view if q long."""
+        copies = self.q // len(period)
+        full = np.broadcast_to(period, (copies, len(period))).reshape(self.q)
+        full.setflags(write=False)
+        return full
+
+    @cached_property
+    def marginals(self) -> np.ndarray:
+        """Marginal probability of every c in [0, q)."""
+        return self._tiled(self.period_marginals)
+
+    @cached_property
+    def signed_residues(self) -> np.ndarray:
+        """{r c}_q for every c in [0, q)."""
+        return self._tiled(self.period_residues)
+
+    @cached_property
+    def good_flags(self) -> np.ndarray:
+        """|{r c}_q| <= r/2 for every c in [0, q)."""
+        return self._tiled(self.period_flags)
 
     @cached_property
     def support(self) -> np.ndarray:
-        """Indices c with nonzero marginal probability."""
-        return np.flatnonzero(self.marginals > 0.0)
+        """Indices c in [0, q) with nonzero marginal probability."""
+        p = len(self.period_marginals)
+        idx = np.flatnonzero(self.period_marginals > 0.0)
+        return _all_copies(idx, p, self.q // p)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        """Running sum of the marginals over all c, for inverse-CDF sampling.
+        """Running sum of the period marginals, for inverse-CDF sampling.
 
         Zero marginals add +0.0, which leaves a float sum unchanged, so its
-        values at the support equal the cumulative sum over the support.
+        values at the period's support equal the cumulative sum over that
+        support.
         """
-        return np.cumsum(self.marginals)
+        return np.cumsum(self.period_marginals)
 
 
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:
-    """Compute the full marginal distribution over c.
+    """Compute the marginal distribution over c, one period of it.
 
     The joint probability depends on k only through m_k, which takes at most
     two values A and A+1 with multiplicities r - B and B (q = A*r + B), so
     the k-sum collapses to a two-term combination of kernel values. With
-    g = gcd(r, q), the residues, flags and marginals are computed for one
-    period of q/g values of c and tiled to length q, and the kernel is
-    evaluated at the q/(2g) + 1 residue magnitudes 0, g, ..., q/2. When
-    g = 1 the period is the whole table and nothing is copied.
+    g = gcd(r, q), the residues, flags and marginals are computed and kept
+    for one period of q/g values of c, and the kernel is evaluated at the
+    q/(2g) + 1 residue magnitudes 0, g, ..., q/2. No array of length q is
+    allocated unless g = 1, where the period is the whole table.
     """
     _require_power_of_two(q)
     r = instance.r
     a, b = divmod(q, r)
     g = math.gcd(r, q)
 
-    signed = _signed_residues(r, q)
-    abs_t = np.abs(signed)
-    good = abs_t <= r // 2
-
     # The marginal depends on c only through |{r c}_q|, a multiple of g in
-    # [0, q/2], so the kernel is evaluated once per such magnitude.
+    # [0, q/2], so the kernel is evaluated once per such magnitude. This
+    # runs before the period arrays exist, so its temporaries do not add
+    # to theirs.
     per_t = np.empty(q // (2 * g) + 1)
     # Peaks: rc = 0 (mod q), every class contributes (m_k/q)^2.
     per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
     t = np.arange(g, q // 2 + 1, g)
-    per_t[1:] = (
-        b * _kernel(a + 1, t, q, np.sin) + (r - b) * _kernel(a, t, q, np.sin)
-    ) / q**2
+    # Both class sizes in one call, so the denominator is computed once.
+    hi, lo = _kernel(np.array([[a + 1], [a]], np.int64), t, q, np.sin)
+    per_t[1:] = (b * hi + (r - b) * lo) / q**2
+    del t, hi, lo
+
+    signed = _signed_residues(r, q)
+    abs_t = np.abs(signed)
+    good = abs_t <= r // 2
     # g divides the power of two q, so |t| / g is a shift, done in place.
     abs_t >>= g.bit_length() - 1
 
-    # Tile the period to length q; for g = 1 the reshape is a view, no copy.
-    marginals, signed, good = (
-        np.broadcast_to(arr, (g, q // g)).reshape(q)
-        for arr in (per_t[abs_t], signed, good)
-    )
+    marginals = per_t[abs_t]
     for arr in (marginals, signed, good):
         arr.setflags(write=False)
     return SpectrumTable(
-        q=q, r=r, marginals=marginals, signed_residues=signed, good_flags=good
+        q=q, r=r, period_marginals=marginals, period_residues=signed,
+        period_flags=good,
     )
 
 
@@ -242,7 +277,7 @@ def good_c_set(r: int, q: int) -> set[int]:
     period = _signed_residues(r, q)
     p = len(period)
     good = np.flatnonzero(np.abs(period) <= r // 2)
-    return set((good + p * np.arange(q // p)[:, None]).ravel().tolist())
+    return set(_all_copies(good, p, q // p).tolist())
 
 
 def integral_term(theta: float, r: int) -> float:
@@ -300,8 +335,10 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
     p_min = math.inf
     min_integral = math.inf
     max_gap = 0.0
-    for c in np.flatnonzero(table.good_flags).tolist():
-        t = abs(int(table.signed_residues[c]))
+    # P(c, k) depends on c only through |{r c}_q|, which repeats with the
+    # period, so the good c of one period reach every value.
+    for c in np.flatnonzero(table.period_flags).tolist():
+        t = abs(int(table.period_residues[c]))
         approx = integral_term(t / r, r)
         min_integral = min(min_integral, approx)
         for k in class_reps:

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, output formats, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,17 +17,21 @@ from hypothesis import strategies as st
 from shorsim import FactoringInstance, build_spectrum
 from shorsim.cli import DEFAULT_SEED, FORMATS, main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, preexec_fn=None, **env):
+    """Run ``python -m shorsim`` in a child, with ``env`` added to its own."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
         [sys.executable, "-m", "shorsim", *args],
         capture_output=True,
         text=True,
         env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -329,3 +334,28 @@ def test_any_bounded_input_stays_inside_exit_contract(argv):
             code = exc.code
             assert code == 1, argv
     assert code in (0, 1, 2), argv
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_n3233_runs_in_384_mib_of_address_space():
+    # gcd(r, q) = 4 at n = 3233, x = 3 (r = 260, q = 2^24): a table kept at
+    # one period fits, one tiled to length q (about 450 MB at peak) does not
+    import resource
+
+    limit = 384 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    def run(*args):
+        return run_cli(*args, preexec_fn=cap, OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1")
+
+    sim = run("simulate", "--n", "3233", "--x", "3", "--trials", "2000")
+    assert sim.returncode == 0, sim.stderr
+    verify = run("verify-bounds", "--n", "3233", "--x", "3")
+    assert verify.returncode == 0, verify.stderr
+    recorded = json.loads((ROOT / "bench" / "expected.json").read_text())
+    want = recorded["digests"]["verify-bounds --n 3233 --x 3"]
+    assert want["exit"] == 0
+    assert hashlib.sha256(verify.stdout.encode()).hexdigest() == want["sha256"]

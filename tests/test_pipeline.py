@@ -98,8 +98,10 @@ def support_restricted_sample(table, rng):
     return c, int(rng.integers(b, r))
 
 
+# The last three: r = 24 > q = 16; gcd(r, q) = q = 8, a one-c period; and
+# r = 192 with gcd(r, q) = 64.
 SAMPLER_CASES = [(15, 7, 256), (15, 14, 256), (21, 2, 512), (221, 2, 65536),
-                 (15, 7, 2)]
+                 (15, 7, 2), (221, 2, 16), (221, 2, 8), (579, 5, 16384)]
 
 
 @pytest.mark.parametrize("n,x,q", SAMPLER_CASES)

@@ -8,6 +8,7 @@ a mismatch here.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from shorsim import (
     good_c_set,
     integral_term,
     joint_probability,
+    sample_measurement,
     verify_bounds,
 )
 from shorsim import numtheory as nt
@@ -289,6 +291,8 @@ def test_build_spectrum_equals_full_length_formula_bitwise():
                               expected):
             assert a.dtype == b.dtype and a.shape == (q,), (name, r, q)
             assert a.tobytes() == b.tobytes(), (name, r, q)
+        support = np.flatnonzero(expected[0])
+        assert table.support.tolist() == support.tolist(), (r, q)
 
 
 def test_good_c_set_equals_full_length_flags():
@@ -299,8 +303,32 @@ def test_good_c_set_equals_full_length_flags():
 
 
 def test_cumulative_at_support_equals_support_cumsum():
+    # cumulative spans one period; at the period's support it equals the
+    # cumsum of the period marginals gathered there
     for r, q in PERIOD_GRID:
         table = build_spectrum(instance_of_order(r), q)
-        support = table.support
-        expected = np.cumsum(table.marginals[support])
+        p = q // math.gcd(r, q)
+        assert len(table.cumulative) == len(table.period_marginals) == p
+        support = np.flatnonzero(table.period_marginals)
+        expected = np.cumsum(table.period_marginals[support])
         assert table.cumulative[support].tobytes() == expected.tobytes()
+
+
+def test_table_paths_allocate_less_than_one_q_length_array():
+    # r = 48 at q = 2^20 gives gcd(r, q) = 16: the build, sampling and
+    # verify_bounds work on the 2^16-long period and never need an array
+    # of length q (8 q bytes as float64)
+    instance = FactoringInstance.create(221, 54)
+    assert instance.r == 48
+    q = 1 << 20
+    tracemalloc.start()
+    try:
+        table = build_spectrum(instance, q)
+        draws = [sample_measurement(table, seed) for seed in range(5)]
+        report = verify_bounds(instance, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(0 <= c < q for c, _ in draws)
+    assert report.r == 48
+    assert peak < 8 * q, peak
