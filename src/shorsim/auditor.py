@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import numtheory as nt, spectrum
 from .spectrum import FactoringInstance, verify_bounds
 
 COND_Q_GE_N2 = "COND_Q_GE_N2"
@@ -308,12 +307,11 @@ def bound_argument_applicability(
 ) -> ApplicabilityReport:
     """Check whether the amplitude-integral estimate is meaningful at (n, s)."""
     n, s, q = config.n, config.register1_qubits, config.q
-    # Checked before the oracle, whose own range for x admits x = 1.
-    spectrum._require_instance_range(n, x)
-    r = nt.order_oracle(x, n)
+    instance = FactoringInstance.create(n, x)
+    r = instance.r
     applicable = q >= n * n
     if applicable:
-        report = verify_bounds(FactoringInstance.create(n, x), q)
+        report = verify_bounds(instance, q)
         p_min, one_third = report.p_min, report.one_third_bound
         explanation = (
             f"applicable: verified p_min = {p_min:.12g} over good (c, k) "

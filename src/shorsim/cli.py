@@ -17,7 +17,6 @@ format a column with one call per block of rows rather than one per cell.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -268,38 +267,32 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         pipeline.validate_modulus(n)
 
-    pairs = []
+    # Every validated n is odd, so the default base 2 is always a unit.
+    instances = []
     for n in args.n_list:
-        if args.bases:
-            for x in args.bases:
-                if not 2 <= x <= n - 1:
-                    print(
-                        f"skipping n = {n}, x = {x}: base out of range",
-                        file=sys.stderr,
-                    )
-                elif math.gcd(x, n) != 1:
-                    print(
-                        f"skipping n = {n}, x = {x}: gcd = "
-                        f"{math.gcd(x, n)} already factors n",
-                        file=sys.stderr,
-                    )
-                else:
-                    pairs.append((n, x))
-        else:
-            x = 2
-            while math.gcd(x, n) != 1:
-                x += 1
-            pairs.append((n, x))
+        for x in args.bases or [2]:
+            try:
+                instances.append(FactoringInstance.create(n, x))
+            except nt.NotAUnitError as exc:
+                print(
+                    f"skipping n = {n}, x = {x}: gcd = "
+                    f"{exc.factor} already factors n",
+                    file=sys.stderr,
+                )
+            except ValueError:
+                print(
+                    f"skipping n = {n}, x = {x}: base out of range",
+                    file=sys.stderr,
+                )
 
-    if not pairs:
+    if not instances:
         raise ValueError("no valid (n, x) pairs to sweep")
-    seeds = np.random.SeedSequence(args.seed).spawn(len(pairs))
+    seeds = np.random.SeedSequence(args.seed).spawn(len(instances))
     rows = []
-    for (n, x), seed in zip(pairs, seeds):
+    for instance, seed in zip(instances, seeds):
+        n, x = instance.n, instance.x
         est = pipeline.estimate_success(n, x, args.trials, seed)
-        bound = verify_bounds(
-            FactoringInstance.create(n, x), pipeline.choose_q(n).q
-        )
+        bound = verify_bounds(instance, pipeline.choose_q(n).q)
         rows.append(
             {
                 "n": n,
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated moduli, e.g. 15,21,35")
     p.add_argument("--bases", type=_int_list, default=None,
                    help="comma-separated bases applied to every n "
-                        "(default: smallest coprime base per n)")
+                        "(default: 2, a unit mod every odd n)")
     p.add_argument("--trials", type=int, default=2000,
                    help="trials per (n, x) pair (default 2000)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,

@@ -2,11 +2,11 @@
 
 The quantum part of the algorithm only influences the classical outcome
 through the measurement distribution P(c, k), which the spectrum module
-computes exactly. This module strings the steps together the way a single
-run of the hardware would experience them: choose q = 2^s with
-n^2 <= q < 2 n^2, draw (c, k) from the exact distribution, round c/q to a
-nearby fraction d/r by continued fractions, verify the candidate order, and
-try to split n through gcd(x^(r/2) +- 1, n).
+computes exactly; ``SpectrumTable.sample`` draws from it. This module
+strings the steps together the way a single run of the hardware would
+experience them: choose q = 2^s with n^2 <= q < 2 n^2, draw (c, k) from the
+table, round c/q to a nearby fraction d/r by continued fractions, verify
+the candidate order, and try to split n through gcd(x^(r/2) +- 1, n).
 
 Every trial is classified into exactly one terminal outcome: a factor pair,
 or one of six failure reasons. The taxonomy separates "the measurement was
@@ -118,49 +118,9 @@ class RunTrace:
         }
 
 
-def _sample_with_rng(
-    table: SpectrumTable, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw (c, k) with probability P(c, k) from a one-period table.
-
-    The q/p copies of the period [0, p) carry equal mass, so one uniform
-    draw, scaled by their number, picks a copy by its integer part and c
-    inside that copy by inverse-CDF sampling of its fraction over the
-    period's cumulative marginals. A draw at the very top of a copy is
-    clamped to the copy's last c with nonzero marginal. Given c, the
-    k-conditional depends only on the class size m_k, which takes the two
-    values A+1 (classes k < B) and A (classes k >= B) where q = A*r + B; so
-    k is drawn by picking a class-size group with the appropriate weight
-    and then uniformly inside the group.
-    """
-    cum = table.cumulative
-    p = len(cum)
-    copies = table.q // p
-    # copies is a power of two, so v and its fraction v - copy are exact.
-    v = rng.random() * copies
-    copy = int(v)
-    if copy == copies:  # only a draw of 1.0, which no Generator makes
-        copy -= 1
-    # The method skips np.searchsorted's dispatch, ~1 us of each trial.
-    j = int(cum.searchsorted((v - copy) * cum[-1], "right"))
-    if j == p:
-        j = int(np.flatnonzero(table.period_marginals > 0.0)[-1])
-    c = copy * p + j
-
-    r = table.r
-    b = table.q % r
-    if b == 0:
-        return c, int(rng.integers(0, r))
-    group_hi = b * table.joint(c, 0)
-    group_lo = (r - b) * table.joint(c, b)
-    if rng.random() * (group_hi + group_lo) < group_hi:
-        return c, int(rng.integers(0, b))
-    return c, int(rng.integers(b, r))
-
-
 def sample_measurement(table: SpectrumTable, seed) -> tuple[int, int]:
-    """Draw one measurement outcome (c, k); deterministic given seed."""
-    return _sample_with_rng(table, np.random.default_rng(seed))
+    """Draw one (c, k) with ``table.sample``; deterministic given seed."""
+    return table.sample(np.random.default_rng(seed))
 
 
 def recover_order(
@@ -232,7 +192,7 @@ def _trace(
     outcomes: dict,
 ) -> RunTrace:
     """Sample once; ``outcomes`` memoises the classification by c."""
-    c, k = _sample_with_rng(table, rng)
+    c, k = table.sample(rng)
     if c not in outcomes:
         outcomes[c] = _classify(instance, q, c)
     return RunTrace(instance, q, c, k, *outcomes[c])
@@ -333,7 +293,6 @@ def estimate_success(n: int, x: int, trials: int, seed) -> SuccessEstimate:
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     rate = order_hits / trials
     phi = nt.euler_phi(r)
-    loglog = math.log(math.log(r)) if r >= 2 else math.nan
     return SuccessEstimate(
         n=n,
         x=instance.x,
@@ -347,6 +306,6 @@ def estimate_success(n: int, x: int, trials: int, seed) -> SuccessEstimate:
         success_bound=bound,
         bound_satisfied=rate >= bound - 3.0 * sigma,
         phi_r=phi,
-        phi_over_r_loglog=phi / r * loglog,
+        phi_over_r_loglog=phi / r * math.log(math.log(r)),
         failure_counts=failures,
     )

@@ -149,9 +149,10 @@ class SpectrumTable:
     marks |{r c}_q| <= r/2. ``marginals``, ``signed_residues`` and
     ``good_flags`` are the same arrays over all q values of c, tiled on
     first access (for gcd(r, q) = 1 they are the period arrays themselves).
-    ``cumulative`` is the running sum of the period marginals, computed on
-    first use for inverse-CDF sampling. The arrays are frozen, so a table
-    can be shared freely across threads.
+    ``sample`` draws one measurement (c, k) by inverse-CDF sampling over
+    ``cumulative``, the running sum of the period marginals, computed on
+    first use. The arrays are frozen, so a table can be shared freely
+    across threads.
     """
 
     q: int
@@ -163,6 +164,44 @@ class SpectrumTable:
     def joint(self, c: int, k: int) -> float:
         """Joint probability P(c, k) recomputed from the closed form."""
         return _joint(self.q, self.r, c, k)
+
+    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+        """Draw (c, k) with probability P(c, k).
+
+        The q/p copies of the period [0, p) carry equal mass, so one uniform
+        draw, scaled by their number, picks a copy by its integer part and c
+        inside that copy by inverse-CDF sampling of its fraction over the
+        period's cumulative marginals. A draw at the very top of a copy is
+        clamped to the copy's last c with nonzero marginal. Given c, the
+        k-conditional depends only on the class size m_k, which takes the
+        two values A+1 (classes k < B) and A (classes k >= B) where
+        q = A*r + B; so k is drawn by picking a class-size group with the
+        appropriate weight and then uniformly inside the group.
+        """
+        cum = self.cumulative
+        p = len(cum)
+        copies = self.q // p
+        # copies is a power of two, so v and its fraction v - copy are exact.
+        v = rng.random() * copies
+        copy = int(v)
+        if copy == copies:  # only a draw of 1.0, which no Generator makes
+            copy -= 1
+        # ndarray.searchsorted skips np.searchsorted's dispatch, ~1 us of
+        # each trial.
+        j = int(cum.searchsorted((v - copy) * cum[-1], "right"))
+        if j == p:
+            j = int(np.flatnonzero(self.period_marginals > 0.0)[-1])
+        c = copy * p + j
+
+        r = self.r
+        b = self.q % r
+        if b == 0:
+            return c, int(rng.integers(0, r))
+        group_hi = b * self.joint(c, 0)
+        group_lo = (r - b) * self.joint(c, b)
+        if rng.random() * (group_hi + group_lo) < group_hi:
+            return c, int(rng.integers(0, b))
+        return c, int(rng.integers(b, r))
 
     def rows(self):
         """Yield (c, marginal_probability, signed_residue, good_flag) rows.
@@ -329,9 +368,6 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
     n, r = instance.n, instance.r
     table = build_spectrum(instance, q)
 
-    # P(c, k) depends on k only through m_k: A+1 for k < B, A for k >= B.
-    b = q % r
-    class_reps = (0,) if b == 0 else (0, b)
     p_min = math.inf
     min_integral = math.inf
     max_gap = 0.0
@@ -341,7 +377,9 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
         t = abs(int(table.period_residues[c]))
         approx = integral_term(t / r, r)
         min_integral = min(min_integral, approx)
-        for k in class_reps:
+        # P(c, k) depends on k only through m_k: A+1 for k < B, A for
+        # k >= B, so k = 0 and k = B cover both (q = A*r + B).
+        for k in {0, q % r}:
             p = _joint(q, r, c, k)
             p_min = min(p_min, p)
             max_gap = max(max_gap, abs(math.sqrt(p) - approx))

@@ -33,7 +33,7 @@ from shorsim import (
     count_fractions,
     count_indistinguishable_pairs,
 )
-from shorsim import auditor
+from shorsim import auditor, numtheory
 from shorsim.auditor import SINGLE_QUBIT_NOTE
 from shorsim.numtheory import euler_phi
 
@@ -292,6 +292,24 @@ def test_applicability_rejects_nonunit():
     with pytest.raises(NotAUnitError) as err:
         bound_argument_applicability(config, 5)
     assert err.value.factor == 5
+
+
+@pytest.mark.parametrize("s", [1, 8])
+def test_applicability_runs_order_oracle_once(monkeypatch, s):
+    # One instance serves both r and, at s = 8 where q >= n^2, the bound
+    # check, so the brute-force oracle runs once at either width.
+    calls = []
+    oracle = numtheory.order_oracle
+
+    def counting(x, n):
+        calls.append((x, n))
+        return oracle(x, n)
+
+    monkeypatch.setattr(numtheory, "order_oracle", counting)
+    config = RegisterConfig(n=15, register1_qubits=s, register2_qubits=4)
+    report = bound_argument_applicability(config, 7)
+    assert report.r == 4
+    assert calls == [(7, 15)]
 
 
 # BLAKE2b-128 of the JSON list of outcomes for s = 1 .. 2*ell + 1 at

@@ -237,10 +237,13 @@ def test_sweep_bases_factor_fifteen():
 
 
 def test_sweep_skips_nonunit_base():
-    result = run_cli("sweep", "--n-list", "15", "--bases", "5,7",
+    result = run_cli("sweep", "--n-list", "15", "--bases", "1,5,7",
                      "--trials", "100")
     assert result.returncode == 0
-    assert "skipping n = 15, x = 5" in result.stderr
+    assert result.stderr.splitlines() == [
+        "skipping n = 15, x = 1: base out of range",
+        "skipping n = 15, x = 5: gcd = 5 already factors n",
+    ]
     assert len(result.stdout.strip().split("\n")) == 2
 
 

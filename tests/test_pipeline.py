@@ -14,6 +14,7 @@ from shorsim import (
     FailureReason,
     NotAUnitError,
     RunTrace,
+    SpectrumTable,
     build_spectrum,
     choose_q,
     estimate_success,
@@ -71,7 +72,7 @@ def test_sample_measurement_frequencies():
     counts = {0: 0, 64: 0, 128: 0, 192: 0}
     draws = 2 * 10**5
     for _ in range(draws):
-        c, _ = pipeline._sample_with_rng(table, rng)
+        c, _ = table.sample(rng)
         counts[c] += 1
     for c, count in counts.items():
         assert abs(count / draws - 0.25) < 0.005
@@ -133,7 +134,7 @@ def test_sampler_top_of_range_draws_last_support_c(n, x, q):
     # 1 - 2^-53 is the largest value random() returns; 1.0 lies beyond it
     # and is the draw that reaches the clamp
     for value in (1.0 - 2.0**-53, 1.0):
-        c, k = pipeline._sample_with_rng(table, _TopOfRange(value))
+        c, k = table.sample(_TopOfRange(value))
         assert c == last
         assert (c, k) == support_restricted_sample(table, _TopOfRange(value))
 
@@ -197,7 +198,7 @@ def test_run_once_deterministic():
 def test_forced_trivial_gcd(monkeypatch):
     # c = 85 at q = 512 recovers 1/6, a proper multiple of the true order 3;
     # 4^3 = 1 mod 21, so both gcds collapse
-    monkeypatch.setattr(pipeline, "_sample_with_rng", lambda t, g: (85, 0))
+    monkeypatch.setattr(SpectrumTable, "sample", lambda t, g: (85, 0))
     trace = run_once(21, 4, 0)
     assert trace.recovered == (1, 6)
     assert trace.order_verified
@@ -208,7 +209,7 @@ def test_forced_trivial_gcd(monkeypatch):
 def test_forced_order_check_failed(monkeypatch):
     # c = 102 at q = 512 recovers 1/5; 4^5 = 16 != 1 mod 21 and 5 does not
     # divide the true order 3
-    monkeypatch.setattr(pipeline, "_sample_with_rng", lambda t, g: (102, 0))
+    monkeypatch.setattr(SpectrumTable, "sample", lambda t, g: (102, 0))
     trace = run_once(21, 4, 0)
     assert trace.recovered == (1, 5)
     assert not trace.order_verified
