@@ -218,24 +218,136 @@ def run_once(n: int, x: int, seed) -> RunTrace:
     return _trace(instance, q, table, np.random.default_rng(seed), {})
 
 
+# SeedSequence's hash and mix constants and PCG64's multiplier. NumPy keeps
+# both seeding algorithms stable across versions (NEP 19).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(x) -> list[int]:
+    """x as SeedSequence reads it: 32-bit words, least significant first.
+
+    An int is split into words (0 is one word), a string is read as a
+    decimal or 0x-prefixed hexadecimal int, and a sequence is the
+    concatenation of its items' words.
+    """
+    if isinstance(x, str):
+        x = int(x, 16 if x.startswith("0x") else 10)
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & _M32]
+        while x > _M32:
+            x >>= 32
+            words.append(x & _M32)
+        return words
+    return [w for item in x for w in _words(item)]
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's word hash; its running constant advances per call.
+
+    Works alike on Python ints and on uint64 arrays of 32-bit words.
+    """
+    const = init
+
+    def hash_word(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hash_word
+
+
+def _mix(x, y):
+    result = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return result ^ result >> 16
+
+
+def _trial_generators(master: np.random.SeedSequence, trials: int):
+    """Yield a generator per trial, as ``default_rng`` seeds ``master``'s
+    next ``trials`` spawned children, without building the children.
+
+    Child i hashes the master's entropy words, zero-padded to the pool
+    size, then its spawn key: the master's plus n_children_spawned + i.
+    Only that last word differs between children, so the pool is mixed
+    once up to it, and the last word and generate_state's output hash run
+    over all children at once on arrays. Each child's four 64-bit words
+    seed PCG64 as ``pcg64_set_seed`` does, and that state is loaded into
+    one reused Generator, so each yielded generator is valid until the
+    next is drawn. The caller keeps n_children_spawned + trials < 2^32, so
+    every child index is one word.
+    """
+    pool_size = master.pool_size
+    entropy = _words(master.entropy)
+    entropy += [0] * (pool_size - len(entropy))
+    entropy += _words(master.spawn_key)
+    first = master.n_children_spawned
+    entropy.append(np.arange(first, first + trials, dtype=np.uint64))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:pool_size]]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight 32-bit words paired little-endian.
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    out = [out_hash(pool[i % pool_size]) for i in range(8)]
+    seeds = [(out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg,
+             "has_uint32": 0, "uinteger": 0}
+    for w0, w1, w2, w3 in zip(*seeds):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
+        pcg["inc"] = inc
+        bit_generator.state = state
+        yield rng
+
+
 def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     """Run independent trials with per-trial seeds derived from one master.
 
     The spectrum is built once and shared, and so is the outcome of each
-    distinct c. Each trial gets its own generator spawned from the master
-    seed, so any single trial can be reproduced in isolation.
+    distinct c. Trial i draws from ``default_rng(child)`` for the master's
+    spawned child number n_children_spawned + i, so any single trial can
+    be reproduced in isolation: for an int seed, trial i is
+    ``default_rng(SeedSequence(seed).spawn(trials)[i])``. NumPy makes
+    n_children_spawned read-only, so a SeedSequence master is not advanced:
+    two calls with the same master return equal traces. NumPy counts
+    spawned children in 32 bits, so trials may not exceed
+    2^32 - 1 - n_children_spawned, which also keeps each child's index one
+    spawn-key word.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    instance, q, table = _setup(n, x)
     if isinstance(seed, np.random.SeedSequence):
         master = seed
     else:
         master = np.random.SeedSequence(seed)
+    limit = 2**32 - 1 - master.n_children_spawned
+    if trials > limit:
+        raise ValueError(
+            f"trials must be <= 2**32 - 1 - n_children_spawned = {limit}, "
+            f"got {trials}"
+        )
+    instance, q, table = _setup(n, x)
     outcomes = {}
     return [
-        _trace(instance, q, table, np.random.default_rng(child), outcomes)
-        for child in master.spawn(trials)
+        _trace(instance, q, table, rng, outcomes)
+        for rng in _trial_generators(master, trials)
     ]
 
 

@@ -151,8 +151,10 @@ class SpectrumTable:
     first access (for gcd(r, q) = 1 they are the period arrays themselves).
     ``sample`` draws one measurement (c, k) by inverse-CDF sampling over
     ``cumulative``, the running sum of the period marginals, computed on
-    first use. The arrays are frozen, so a table can be shared freely
-    across threads.
+    first use. ``sample`` also memoises the two k-group weights of each
+    period row it reaches. The arrays are frozen, and the lazily filled
+    caches are written only with values computed from them, so threads
+    sharing a table at worst fill an entry twice with identical values.
     """
 
     q: int
@@ -176,7 +178,8 @@ class SpectrumTable:
         k-conditional depends only on the class size m_k, which takes the
         two values A+1 (classes k < B) and A (classes k >= B) where
         q = A*r + B; so k is drawn by picking a class-size group with the
-        appropriate weight and then uniformly inside the group.
+        appropriate weight, computed once per period row, and then
+        uniformly inside the group.
         """
         cum = self.cumulative
         p = len(cum)
@@ -197,9 +200,13 @@ class SpectrumTable:
         b = self.q % r
         if b == 0:
             return c, int(rng.integers(0, r))
-        group_hi = b * self.joint(c, 0)
-        group_lo = (r - b) * self.joint(c, b)
-        if rng.random() * (group_hi + group_lo) < group_hi:
+        weights = self._k_weights.get(j)
+        if weights is None:
+            group_hi = b * self.joint(c, 0)
+            weights = (group_hi, group_hi + (r - b) * self.joint(c, b))
+            self._k_weights[j] = weights
+        group_hi, total = weights
+        if rng.random() * total < group_hi:
             return c, int(rng.integers(0, b))
         return c, int(rng.integers(b, r))
 
@@ -245,6 +252,15 @@ class SpectrumTable:
         p = len(self.period_marginals)
         idx = np.flatnonzero(self.period_marginals > 0.0)
         return _all_copies(idx, p, self.q // p)
+
+    @cached_property
+    def _k_weights(self) -> dict:
+        """Period row j -> (B P(c, 0), B P(c, 0) + (r - B) P(c, B)).
+
+        P(c, k) depends on c only through its period row, so every copy of
+        row j shares the weights ``sample`` draws the k-group from.
+        """
+        return {}
 
     @cached_property
     def cumulative(self) -> np.ndarray:

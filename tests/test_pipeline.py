@@ -242,6 +242,100 @@ def test_run_trials_classifies_each_distinct_c_once(monkeypatch):
         assert outcome == pipeline._classify(instance, q, t.sampled_c)
 
 
+def _copy(master):
+    """A fresh SeedSequence in the same state, spawn counter included."""
+    return np.random.SeedSequence(
+        master.entropy, spawn_key=master.spawn_key,
+        pool_size=master.pool_size,
+        n_children_spawned=master.n_children_spawned,
+    )
+
+
+def _spawned(master, count):
+    master.spawn(count)
+    return master
+
+
+SS = np.random.SeedSequence
+SEEDING_MASTERS = {
+    "0": lambda: SS(0),
+    "1": lambda: SS(1),
+    "1729": lambda: SS(1729),
+    "2^32": lambda: SS(2**32),
+    "2^40+7": lambda: SS(2**40 + 7),
+    "2^130+5": lambda: SS(2**130 + 5),
+    "[3,4]": lambda: SS([3, 4]),
+    "strings": lambda: SS(["12", "0x1f"]),
+    "None": lambda: SS(None),
+    "sweep-child": lambda: SS(1729).spawn(3)[2],
+    "pool-8": lambda: SS(5, pool_size=8),
+    "spawned-3": lambda: _spawned(SS(1729), 3),
+}
+
+
+def _draws(rng):
+    return (rng.random(), int(rng.integers(0, 7)), rng.random(),
+            int(rng.integers(0, 2**40)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("name", list(SEEDING_MASTERS))
+def test_trial_generators_match_spawned_default_rng(name, count):
+    master = SEEDING_MASTERS[name]()
+    want = [_draws(np.random.default_rng(child))
+            for child in _copy(master).spawn(count)]
+    got = [_draws(rng) for rng in pipeline._trial_generators(master, count)]
+    assert got == want
+
+
+def reference_run_trials(n, x, trials, seed):
+    """run_trials as it was: one spawned child and default_rng per trial."""
+    instance, q, table = pipeline._setup(n, x)
+    if isinstance(seed, np.random.SeedSequence):
+        master = seed
+    else:
+        master = np.random.SeedSequence(seed)
+    traces = []
+    for child in master.spawn(trials):
+        c, k = table.sample(np.random.default_rng(child))
+        outcome = pipeline._classify(instance, q, c)
+        traces.append(RunTrace(instance, q, c, k, *outcome))
+    return traces
+
+
+def _records(traces):
+    return [t.to_record() for t in traces]
+
+
+@pytest.mark.parametrize("n,x", [(15, 7), (15, 14), (21, 2), (221, 2)])
+def test_run_trials_matches_reference_loop(n, x):
+    for seed in range(200):
+        assert _records(run_trials(n, x, 12, seed)) == _records(
+            reference_run_trials(n, x, 12, seed)
+        ), seed
+    master = SS(1729).spawn(3)[2]
+    want = _records(reference_run_trials(n, x, 300, _copy(master)))
+    assert _records(run_trials(n, x, 300, master)) == want
+
+
+def test_run_trials_does_not_advance_seed_sequence():
+    master = SS(99)
+    first = _records(run_trials(21, 2, 50, master))
+    assert master.n_children_spawned == 0
+    assert _records(run_trials(21, 2, 50, master)) == first
+    # Trial i on its own, by the documented recipe.
+    child = SS(99).spawn(50)[7]
+    assert run_once(21, 2, child).to_record() == first[7]
+
+
+def test_run_trials_rejects_more_children_than_numpy_can_count():
+    # Raised before any per-trial array is allocated.
+    with pytest.raises(ValueError, match=r"2\*\*32 - 1 - n_children_spawned"):
+        run_trials(15, 7, 2**32, 0)
+    with pytest.raises(ValueError, match=r"= 4294967292, got 4294967293"):
+        run_trials(15, 7, 2**32 - 3, _spawned(SS(0), 3))
+
+
 def _failures(bad_c, understated, order_check, minus_one):
     return {
         "bad_c_no_recovery": bad_c,
