@@ -22,6 +22,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -184,20 +185,6 @@ def _classify(instance: FactoringInstance, q: int, c: int) -> tuple:
     return recovered, True, None, FailureReason.TRIVIAL_GCD
 
 
-def _trace(
-    instance: FactoringInstance,
-    q: int,
-    table: SpectrumTable,
-    rng: np.random.Generator,
-    outcomes: dict,
-) -> RunTrace:
-    """Sample once; ``outcomes`` memoises the classification by c."""
-    c, k = table.sample(rng)
-    if c not in outcomes:
-        outcomes[c] = _classify(instance, q, c)
-    return RunTrace(instance, q, c, k, *outcomes[c])
-
-
 def _setup(n: int, x: int) -> tuple[FactoringInstance, int, SpectrumTable]:
     """Validate (n, x); build the instance and its spectrum at choose_q."""
     validate_modulus(n)
@@ -215,7 +202,8 @@ def run_once(n: int, x: int, seed) -> RunTrace:
     needed.
     """
     instance, q, table = _setup(n, x)
-    return _trace(instance, q, table, np.random.default_rng(seed), {})
+    c, k = table.sample(np.random.default_rng(seed))
+    return RunTrace(instance, q, c, k, *_classify(instance, q, c))
 
 
 # SeedSequence's hash and mix constants and PCG64's multiplier. NumPy keeps
@@ -224,7 +212,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_U32 = np.uint64(_M32)
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & _M64)
+
+# Trials are drawn this many at a time, so per-trial temporaries stay
+# O(_BLOCK) whatever the trial count.
+_BLOCK = 1 << 13
 
 
 def _words(x) -> list[int]:
@@ -268,26 +263,24 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _trial_generators(master: np.random.SeedSequence, trials: int):
-    """Yield a generator per trial, as ``default_rng`` seeds ``master``'s
-    next ``trials`` spawned children, without building the children.
+def _child_seeds(master: np.random.SeedSequence, start: int, count: int):
+    """``generate_state(4, np.uint64)`` of ``count`` of master's children.
 
-    Child i hashes the master's entropy words, zero-padded to the pool
-    size, then its spawn key: the master's plus n_children_spawned + i.
-    Only that last word differs between children, so the pool is mixed
-    once up to it, and the last word and generate_state's output hash run
-    over all children at once on arrays. Each child's four 64-bit words
-    seed PCG64 as ``pcg64_set_seed`` does, and that state is loaded into
-    one reused Generator, so each yielded generator is valid until the
-    next is drawn. The caller keeps n_children_spawned + trials < 2^32, so
-    every child index is one word.
+    The children are the ones ``master.spawn`` would number
+    n_children_spawned + start onwards; they are not built. Child i hashes
+    the master's entropy words, zero-padded to the pool size, then its
+    spawn key: the master's plus its number. Only that last word differs
+    between children, so the pool is mixed once up to it, and the last
+    word and generate_state's output hash run over all children at once on
+    arrays. Returns the four uint64 arrays of seed words. The caller keeps
+    every child number below 2^32, so it is one word.
     """
     pool_size = master.pool_size
     entropy = _words(master.entropy)
     entropy += [0] * (pool_size - len(entropy))
     entropy += _words(master.spawn_key)
-    first = master.n_children_spawned
-    entropy.append(np.arange(first, first + trials, dtype=np.uint64))
+    first = master.n_children_spawned + start
+    entropy.append(np.arange(first, first + count, dtype=np.uint64))
 
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:pool_size]]
@@ -299,37 +292,142 @@ def _trial_generators(master: np.random.SeedSequence, trials: int):
         for dst in range(pool_size):
             pool[dst] = _mix(pool[dst], hashmix(word))
 
-    # generate_state(4, np.uint64): eight 32-bit words paired little-endian.
+    # Eight 32-bit output words, paired little-endian.
     out_hash = _hasher(_INIT_B, _MULT_B)
     out = [out_hash(pool[i % pool_size]) for i in range(8)]
-    seeds = [(out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
+
+def _mul_wide(a: np.ndarray, b: int) -> tuple:
+    """The 128-bit products a * b of a uint64 array and a 64-bit int, as
+    (high, low) words.
+
+    Each factor is split into 32-bit limbs, so no partial product wraps.
+    """
+    a0, a1 = a & _U32, a >> 32
+    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (cross0 & _U32) + (cross1 & _U32)
+    high = a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    return high, mid << 32 | low & _U32
+
+
+def _lcg(state: tuple, inc: tuple) -> tuple:
+    """PCG64's step, state * MULT + inc mod 2^128, on (high, low) words."""
+    hi, lo = state
+    inc_hi, inc_lo = inc
+    prod_hi, prod_lo = _mul_wide(lo, _PCG64_MULT & _M64)
+    # The high word also gets hi * MULT_LO + lo * MULT_HI, both mod 2^64.
+    hi = prod_hi + hi * _MULT_LO + lo * _MULT_HI + inc_hi
+    lo = prod_lo + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _pcg64_seeded(seeds: list) -> tuple:
+    """(state, inc) as ``pcg64_set_seed`` leaves them for each seed.
+
+    ``seeds`` are the four words of generate_state(4, np.uint64); the first
+    two are the initial state, the last two the stream, shifted left once
+    with the low bit set. Each 128-bit value is a (high, low) pair of
+    uint64 arrays.
+    """
+    w0, w1, w2, w3 = seeds
+    one = np.uint64(1)
+    inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
+    lo = w1 + inc[1]
+    start = (w0 + inc[0] + (lo < w1), lo)
+    return _lcg(start, inc), inc
+
+
+def _xsl_rr(state: tuple) -> np.ndarray:
+    """PCG64's output: the state's two words xored, rotated right by its
+    top six bits."""
+    hi, lo = state
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+
+
+def _pcg64_words(state: tuple, inc: tuple, count: int) -> list:
+    """The first ``count`` 64-bit outputs of each seeded PCG64 stream."""
+    words = []
+    for _ in range(count):
+        state = _lcg(state, inc)
+        words.append(_xsl_rr(state))
+    return words
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each word: its top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _lemire32(words: np.ndarray, span: np.ndarray) -> tuple:
+    """``Generator.integers(0, span)`` of each word's low 32 bits.
+
+    NumPy draws an int64 below span <= 2^32 - 1 by Lemire's method on one
+    32-bit output: the high word of low32 * span. Returns those draws and a
+    mask of the draws it would not take as they stand: it rejects and
+    draws again when the leftover low word falls below a threshold smaller
+    than span, so a leftover below span is flagged. A span of 1 consumes no
+    output, and draws 0 unflagged.
+    """
+    span = span.astype(np.uint64)
+    m = (words & _U32) * span
+    return (m >> 32).astype(np.int64), ((m & _U32) < span) & (span > 1)
+
+
+def _generator(state: tuple, inc: tuple, i: int) -> np.random.Generator:
+    """A Generator whose PCG64 holds stream i's (state, inc), nothing
+    buffered."""
     bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    pcg = {}
-    state = {"bit_generator": "PCG64", "state": pcg,
-             "has_uint32": 0, "uinteger": 0}
-    for w0, w1, w2, w3 in zip(*seeds):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-        pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
-        pcg["inc"] = inc
-        bit_generator.state = state
-        yield rng
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int(state[0][i]) << 64 | int(state[1][i]),
+                  "inc": int(inc[0][i]) << 64 | int(inc[1][i])},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
+    """Lists of the c and k ``table.sample`` draws for ``count`` trials.
+
+    Trial i samples with ``default_rng`` of master's spawned child number
+    n_children_spawned + start + i. Its first three PCG64 outputs are
+    computed for all trials at once and mapped as the Generator calls of
+    ``sample`` map them: one ``random()`` for c, a second for k's group
+    when q % r != 0, then ``integers`` on the next output. A trial whose k
+    draw numpy might reject is drawn again by ``sample`` from its own
+    Generator.
+    """
+    state, inc = _pcg64_seeded(_child_seeds(master, start, count))
+    words = _pcg64_words(state, inc, 3)
+    c, lo, hi = table.inverse_cdf(_unit(words[0]), _unit(words[1]))
+    k, redraw = _lemire32(words[1 + bool(table.q % table.r)], hi - lo)
+    k += lo
+    for i in np.flatnonzero(redraw).tolist():
+        c[i], k[i] = table.sample(_generator(state, inc, i))
+    return c.tolist(), k.tolist()
 
 
 def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     """Run independent trials with per-trial seeds derived from one master.
 
     The spectrum is built once and shared, and so is the outcome of each
-    distinct c. Trial i draws from ``default_rng(child)`` for the master's
-    spawned child number n_children_spawned + i, so any single trial can
-    be reproduced in isolation: for an int seed, trial i is
-    ``default_rng(SeedSequence(seed).spawn(trials)[i])``. NumPy makes
-    n_children_spawned read-only, so a SeedSequence master is not advanced:
-    two calls with the same master return equal traces. NumPy counts
-    spawned children in 32 bits, so trials may not exceed
-    2^32 - 1 - n_children_spawned, which also keeps each child's index one
-    spawn-key word.
+    distinct c. Trial i draws (c, k) as ``table.sample`` does from
+    ``default_rng(child)`` for the master's spawned child number
+    n_children_spawned + i, so any single trial can be reproduced in
+    isolation: for an int seed, trial i is
+    ``default_rng(SeedSequence(seed).spawn(trials)[i])``. No Generator is
+    built per trial: for each block of ``_BLOCK`` trials, the seeds, the
+    PCG64 outputs and the numpy draws made from them are computed bit for
+    bit on arrays, and only a trial whose k draw numpy might reject is
+    drawn by ``table.sample`` itself. NumPy makes n_children_spawned
+    read-only, so a SeedSequence master is not advanced: two calls with the
+    same master return equal traces. NumPy counts spawned children in 32
+    bits, so trials may not exceed 2^32 - 1 - n_children_spawned, which
+    also keeps each child's index one spawn-key word.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -345,10 +443,16 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
         )
     instance, q, table = _setup(n, x)
     outcomes = {}
-    return [
-        _trace(instance, q, table, rng, outcomes)
-        for rng in _trial_generators(master, trials)
-    ]
+    traces = []
+    for start in range(0, trials, _BLOCK):
+        c, k = _draws(table, master, start, min(_BLOCK, trials - start))
+        for value in set(c).difference(outcomes):
+            outcomes[value] = _classify(instance, q, value)
+        traces += [
+            RunTrace(instance, q, c_i, k_i, *outcomes[c_i])
+            for c_i, k_i in zip(c, k)
+        ]
+    return traces
 
 
 def success_bound(r: int) -> float:
@@ -394,12 +498,20 @@ def estimate_success(n: int, x: int, trials: int, seed) -> SuccessEstimate:
     traces = run_trials(n, x, trials, seed)
     instance = traces[0].instance
     r = instance.r
-    order_hits = sum(
-        1 for t in traces if t.recovered and t.recovered[1] == r
-    )
-    tally = Counter(t.failure_reason for t in traces)
-    factor_hits = tally[None]
-    failures = {reason.value: tally[reason] for reason in FailureReason}
+    # Traces that measured the same c share its outcome, so they are
+    # tallied by c and each c's outcome is read once.
+    sampled_c = list(map(attrgetter("sampled_c"), traces))
+    trace_of = dict(zip(sampled_c, traces))
+    order_hits = factor_hits = 0
+    failures = {reason.value: 0 for reason in FailureReason}
+    for c, count in Counter(sampled_c).items():
+        t = trace_of[c]
+        if t.recovered and t.recovered[1] == r:
+            order_hits += count
+        if t.failure_reason is None:
+            factor_hits += count
+        else:
+            failures[t.failure_reason.value] += count
 
     bound = success_bound(r)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)

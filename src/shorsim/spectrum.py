@@ -149,12 +149,16 @@ class SpectrumTable:
     marks |{r c}_q| <= r/2. ``marginals``, ``signed_residues`` and
     ``good_flags`` are the same arrays over all q values of c, tiled on
     first access (for gcd(r, q) = 1 they are the period arrays themselves).
-    ``sample`` draws one measurement (c, k) by inverse-CDF sampling over
-    ``cumulative``, the running sum of the period marginals, computed on
-    first use. ``sample`` also memoises the two k-group weights of each
-    period row it reaches. The arrays are frozen, and the lazily filled
-    caches are written only with values computed from them, so threads
-    sharing a table at worst fill an entry twice with identical values.
+    ``inverse_cdf`` maps arrays of uniform draws to measurements (c and the
+    range k is drawn from) by inverse-CDF sampling over ``cumulative``, the
+    running sum of the period marginals, computed on first use; it also
+    memoises the two k-group weights of each period row it reaches.
+    ``sample`` draws one (c, k) from a Generator through it, and
+    ``pipeline.run_trials`` computes a block of trials' uniforms at once
+    and maps them with one call. The arrays are frozen, and the lazily
+    filled caches are written only with values computed from them, so
+    threads sharing a table at worst fill an entry twice with identical
+    values.
     """
 
     q: int
@@ -170,45 +174,65 @@ class SpectrumTable:
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         """Draw (c, k) with probability P(c, k).
 
-        The q/p copies of the period [0, p) carry equal mass, so one uniform
-        draw, scaled by their number, picks a copy by its integer part and c
-        inside that copy by inverse-CDF sampling of its fraction over the
-        period's cumulative marginals. A draw at the very top of a copy is
-        clamped to the copy's last c with nonzero marginal. Given c, the
-        k-conditional depends only on the class size m_k, which takes the
-        two values A+1 (classes k < B) and A (classes k >= B) where
-        q = A*r + B; so k is drawn by picking a class-size group with the
-        appropriate weight, computed once per period row, and then
-        uniformly inside the group.
+        One ``rng.random()`` selects c, a second selects k's class-size
+        group when there are two (q % r != 0), and ``rng.integers`` draws k
+        uniformly inside the group; ``inverse_cdf`` maps the two uniforms.
+        """
+        u = rng.random()
+        v = rng.random() if self.q % self.r else 0.0
+        c, lo, hi = (
+            int(a[0]) for a in self.inverse_cdf(np.array([u]), np.array([v]))
+        )
+        return c, int(rng.integers(lo, hi))
+
+    def inverse_cdf(self, u: np.ndarray, v: np.ndarray) -> tuple:
+        """Map uniforms in [0, 1) to measured c and the range k is drawn from.
+
+        Returns int64 arrays (c, k_lo, k_hi): draw i measures c[i], and k
+        is uniform on [k_lo[i], k_hi[i]). The q/p copies of the period
+        [0, p) carry equal mass, so u, scaled by their number, picks a copy
+        by its integer part and c inside that copy by inverse-CDF sampling
+        of its fraction over the period's cumulative marginals. A draw at
+        the very top of a copy is clamped to the copy's last c with nonzero
+        marginal. Given c, the k-conditional depends only on the class size
+        m_k, which takes the two values A+1 (classes k < B) and A (classes
+        k >= B) where q = A*r + B; so v picks a class-size group with the
+        appropriate weight, computed once per period row. With B = 0 there
+        is one group, [0, r), and v is not read.
         """
         cum = self.cumulative
         p = len(cum)
         copies = self.q // p
-        # copies is a power of two, so v and its fraction v - copy are exact.
-        v = rng.random() * copies
-        copy = int(v)
-        if copy == copies:  # only a draw of 1.0, which no Generator makes
-            copy -= 1
-        # ndarray.searchsorted skips np.searchsorted's dispatch, ~1 us of
-        # each trial.
-        j = int(cum.searchsorted((v - copy) * cum[-1], "right"))
-        if j == p:
-            j = int(np.flatnonzero(self.period_marginals > 0.0)[-1])
-        c = copy * p + j
+        # copies is a power of two, so u * copies and its fraction are exact.
+        scaled = u * copies
+        copy = scaled.astype(np.int64)
+        # Only a draw of 1.0, which no Generator makes, reaches copies.
+        np.minimum(copy, copies - 1, out=copy)
+        rows = cum.searchsorted((scaled - copy) * cum[-1], "right")
+        top = rows == p
+        if top.any():
+            rows[top] = np.flatnonzero(self.period_marginals > 0.0)[-1]
+        c = copy * p + rows
 
         r = self.r
         b = self.q % r
         if b == 0:
-            return c, int(rng.integers(0, r))
+            return c, np.zeros_like(c), np.full_like(c, r)
+        distinct = sorted(set(rows.tolist()))
+        group_hi, total = np.array([self._row_weights(j) for j in distinct]).T
+        inverse = np.searchsorted(distinct, rows)
+        high = v * total[inverse] < group_hi[inverse]
+        return c, np.where(high, 0, b), np.where(high, b, r)
+
+    def _row_weights(self, j: int) -> tuple[float, float]:
+        """``_k_weights[j]``, computed on first use."""
         weights = self._k_weights.get(j)
         if weights is None:
-            group_hi = b * self.joint(c, 0)
-            weights = (group_hi, group_hi + (r - b) * self.joint(c, b))
+            r, b = self.r, self.q % self.r
+            group_hi = b * self.joint(j, 0)
+            weights = (group_hi, group_hi + (r - b) * self.joint(j, b))
             self._k_weights[j] = weights
-        group_hi, total = weights
-        if rng.random() * total < group_hi:
-            return c, int(rng.integers(0, b))
-        return c, int(rng.integers(b, r))
+        return weights
 
     def rows(self):
         """Yield (c, marginal_probability, signed_residue, good_flag) rows.
@@ -255,10 +279,10 @@ class SpectrumTable:
 
     @cached_property
     def _k_weights(self) -> dict:
-        """Period row j -> (B P(c, 0), B P(c, 0) + (r - B) P(c, B)).
+        """Period row j -> (B P(j, 0), B P(j, 0) + (r - B) P(j, B)).
 
         P(c, k) depends on c only through its period row, so every copy of
-        row j shares the weights ``sample`` draws the k-group from.
+        row j shares the weights ``inverse_cdf`` picks the k group by.
         """
         return {}
 

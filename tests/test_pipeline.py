@@ -278,14 +278,30 @@ def _draws(rng):
             int(rng.integers(0, 2**40)))
 
 
+def _seeded(master, count):
+    """Each of master's next ``count`` children's PCG64 (state, inc)."""
+    return pipeline._pcg64_seeded(pipeline._child_seeds(master, 0, count))
+
+
 @pytest.mark.parametrize("count", [1, 2, 1000])
 @pytest.mark.parametrize("name", list(SEEDING_MASTERS))
 def test_trial_generators_match_spawned_default_rng(name, count):
     master = SEEDING_MASTERS[name]()
     want = [_draws(np.random.default_rng(child))
             for child in _copy(master).spawn(count)]
-    got = [_draws(rng) for rng in pipeline._trial_generators(master, count)]
+    state, inc = _seeded(master, count)
+    got = [_draws(pipeline._generator(state, inc, i)) for i in range(count)]
     assert got == want
+
+
+@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("name", list(SEEDING_MASTERS))
+def test_pcg64_words_match_random_raw(name, count):
+    master = SEEDING_MASTERS[name]()
+    want = [np.random.default_rng(child).bit_generator.random_raw(3).tolist()
+            for child in _copy(master).spawn(count)]
+    words = pipeline._pcg64_words(*_seeded(master, count), 3)
+    assert np.stack(words, axis=1).tolist() == want
 
 
 def reference_run_trials(n, x, trials, seed):
@@ -307,7 +323,10 @@ def _records(traces):
     return [t.to_record() for t in traces]
 
 
-@pytest.mark.parametrize("n,x", [(15, 7), (15, 14), (21, 2), (221, 2)])
+# q % r: 0, 0, 2 and 16; then 1 (r = 3), r - 1 for r = 33 and r = 3 (a
+# group of one k, which consumes no output), and 128 at gcd(r, q) = 64.
+@pytest.mark.parametrize("n,x", [(15, 7), (15, 14), (21, 2), (221, 2),
+                                 (57, 7), (161, 2), (171, 7), (579, 5)])
 def test_run_trials_matches_reference_loop(n, x):
     for seed in range(200):
         assert _records(run_trials(n, x, 12, seed)) == _records(
@@ -316,6 +335,64 @@ def test_run_trials_matches_reference_loop(n, x):
     master = SS(1729).spawn(3)[2]
     want = _records(reference_run_trials(n, x, 300, _copy(master)))
     assert _records(run_trials(n, x, 300, master)) == want
+
+
+def _count_samples(monkeypatch):
+    """Count ``SpectrumTable.sample`` calls in the returned list."""
+    calls = []
+    sample = SpectrumTable.sample
+
+    def counting_sample(table, rng):
+        calls.append(1)
+        return sample(table, rng)
+
+    monkeypatch.setattr(SpectrumTable, "sample", counting_sample)
+    return calls
+
+
+@pytest.mark.parametrize("n,x", [(15, 7), (21, 2), (57, 7), (171, 7)])
+def test_run_trials_exact_redraw_path(monkeypatch, n, x):
+    want = [_records(reference_run_trials(n, x, 40, seed))
+            for seed in range(5)]
+    lemire = pipeline._lemire32
+
+    def flag_all(words, span):
+        return lemire(words, span)[0], np.ones(len(words), bool)
+
+    monkeypatch.setattr(pipeline, "_lemire32", flag_all)
+    calls = _count_samples(monkeypatch)
+    assert [_records(run_trials(n, x, 40, seed)) for seed in range(5)] == want
+    assert len(calls) == 5 * 40
+
+
+def test_run_trials_samples_only_flagged_trials(monkeypatch):
+    # 20 000 trials span several blocks; numpy flags a draw with
+    # probability below r / 2^32, so almost surely none is redrawn.
+    want = _records(reference_run_trials(221, 2, 20000, 7))
+    flagged = []
+    lemire = pipeline._lemire32
+
+    def counting_lemire(words, span):
+        draws, redraw = lemire(words, span)
+        flagged.append(int(redraw.sum()))
+        return draws, redraw
+
+    monkeypatch.setattr(pipeline, "_lemire32", counting_lemire)
+    calls = _count_samples(monkeypatch)
+    assert _records(run_trials(221, 2, 20000, 7)) == want
+    assert len(flagged) == -(-20000 // pipeline._BLOCK) > 1
+    assert len(calls) == sum(flagged)
+
+
+def test_run_trials_redraws_a_rejected_k_exactly(monkeypatch):
+    # Child 3 252 730 of SeedSequence(0) draws k for (851, 2) from a group
+    # of 364 values; numpy rejects its first 32-bit output (leftover 180,
+    # below the threshold 2^32 mod 364 = 256) and draws again.
+    master = SS(0, n_children_spawned=3252730)
+    want = _records(reference_run_trials(851, 2, 3, _copy(master)))
+    calls = _count_samples(monkeypatch)
+    assert _records(run_trials(851, 2, 3, master)) == want
+    assert len(calls) == 1
 
 
 def test_run_trials_does_not_advance_seed_sequence():
