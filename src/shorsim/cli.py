@@ -231,13 +231,10 @@ def cmd_spectrum(args) -> int:
     instance = FactoringInstance.create(args.n, args.x)
     q = args.q if args.q is not None else pipeline.choose_q(args.n).q
     table = build_spectrum(instance, q)
-    c, p, t, flag = zip(*table.rows())
-    columns = {
-        "c": c,
-        "marginal_probability": p,
-        "signed_residue": t,
-        "good_flag": flag,
-    }
+    columns = dict(zip(
+        ("c", "marginal_probability", "signed_residue", "good_flag"),
+        table.columns(),
+    ))
     summary = {
         "normalization": float(table.marginals.sum()),
         "p_min_good_c": float(

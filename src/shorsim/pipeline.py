@@ -377,19 +377,6 @@ def _lemire32(words: np.ndarray, span: np.ndarray) -> tuple:
     return (m >> 32).astype(np.int64), ((m & _U32) < span) & (span > 1)
 
 
-def _generator(state: tuple, inc: tuple, i: int) -> np.random.Generator:
-    """A Generator whose PCG64 holds stream i's (state, inc), nothing
-    buffered."""
-    bit_generator = np.random.PCG64()
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": int(state[0][i]) << 64 | int(state[1][i]),
-                  "inc": int(inc[0][i]) << 64 | int(inc[1][i])},
-        "has_uint32": 0, "uinteger": 0,
-    }
-    return np.random.Generator(bit_generator)
-
-
 def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
     """Lists of the c and k ``table.sample`` draws for ``count`` trials.
 
@@ -398,16 +385,21 @@ def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
     computed for all trials at once and mapped as the Generator calls of
     ``sample`` map them: one ``random()`` for c, a second for k's group
     when q % r != 0, then ``integers`` on the next output. A trial whose k
-    draw numpy might reject is drawn again by ``sample`` from its own
-    Generator.
+    draw numpy might reject is drawn again by ``sample`` from
+    ``default_rng`` of that child, built as ``SeedSequence.spawn`` builds
+    it.
     """
-    state, inc = _pcg64_seeded(_child_seeds(master, start, count))
-    words = _pcg64_words(state, inc, 3)
+    words = _pcg64_words(*_pcg64_seeded(_child_seeds(master, start, count)), 3)
     c, lo, hi = table.inverse_cdf(_unit(words[0]), _unit(words[1]))
     k, redraw = _lemire32(words[1 + bool(table.q % table.r)], hi - lo)
     k += lo
+    first = master.n_children_spawned + start
     for i in np.flatnonzero(redraw).tolist():
-        c[i], k[i] = table.sample(_generator(state, inc, i))
+        child = np.random.SeedSequence(
+            master.entropy, spawn_key=(*master.spawn_key, first + i),
+            pool_size=master.pool_size,
+        )
+        c[i], k[i] = table.sample(np.random.default_rng(child))
     return c.tolist(), k.tolist()
 
 

@@ -234,19 +234,23 @@ class SpectrumTable:
             self._k_weights[j] = weights
         return weights
 
-    def rows(self):
-        """Yield (c, marginal_probability, signed_residue, good_flag) rows.
+    def columns(self) -> tuple:
+        """(c, marginal_probability, signed_residue, good_flag) over [0, q).
 
-        The values are Python float, int and bool, converted per period
-        array by ``tolist`` and repeated once per period.
+        Four lists of Python int, float, int and bool: each period array
+        is converted by ``tolist`` once and repeated once per period. c is
+        a list rather than a range, so a JSON writer can encode it.
         """
         copies = self.q // len(self.period_marginals)
-        yield from zip(
-            range(self.q),
-            self.period_marginals.tolist() * copies,
-            self.period_residues.tolist() * copies,
-            self.period_flags.tolist() * copies,
+        return (list(range(self.q)),) + tuple(
+            period.tolist() * copies for period in
+            (self.period_marginals, self.period_residues, self.period_flags)
         )
+
+    def rows(self):
+        """(c, marginal_probability, signed_residue, good_flag) rows, the
+        transpose of ``columns``."""
+        return zip(*self.columns())
 
     def _tiled(self, period: np.ndarray) -> np.ndarray:
         """``period`` tiled to length q, read-only; a view if q long."""

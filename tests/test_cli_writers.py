@@ -87,7 +87,10 @@ def run_row_wise(argv, monkeypatch) -> tuple:
         return run(argv)
 
 
-SPECTRA = [(15, 7, 2), (15, 7, 16), (15, 7, 256), (21, 2, 512), (33, 2, 2048)]
+# gcd(r, q) = q for (15, 7, 2), 1 for (21, 4, 512) (r = 3) and 8 for
+# (221, 2, 4096) (r = 24).
+SPECTRA = [(15, 7, 2), (15, 7, 16), (15, 7, 256), (21, 2, 512), (33, 2, 2048),
+           (21, 4, 512), (221, 2, 4096)]
 SIMULATIONS = [
     ["--n", "15", "--x", "7", "--trials", "1"],
     ["--n", "15", "--x", "7", "--trials", "5"],

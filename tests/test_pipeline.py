@@ -78,6 +78,39 @@ def test_sample_measurement_frequencies():
         assert abs(count / draws - 0.25) < 0.005
 
 
+def _grid(size):
+    """Midpoints of ``size`` equal steps of [0, 1)."""
+    return (np.arange(size) + 0.5) / size
+
+
+# q % r: 0, 2, 1, 16 and 2 (r = 4 > q = 2, where classes k >= 2 are empty).
+@pytest.mark.parametrize("n,x,q", [(15, 7, 256), (21, 2, 512), (57, 7, 4096),
+                                   (221, 2, 65536), (15, 7, 2)])
+def test_inverse_cdf_on_a_grid_matches_probabilities_exactly(n, x, q):
+    # The exact counterpart of the frequency test: a grid of N uniforms
+    # mapped through inverse_cdf hits each c within one grid step of
+    # N P(c), and, given c, each k group within one step of its share.
+    table = build_spectrum(FactoringInstance.create(n, x), q)
+    size = 1 << 20
+    u = _grid(size)
+    c = table.inverse_cdf(u, np.zeros(size))[0]
+    counts = np.bincount(c, minlength=q)
+    assert np.abs(counts - size * table.marginals).max() <= 1.0
+    r, b = table.r, q % table.r
+    if b == 0:
+        return
+    reached = np.flatnonzero(counts)
+    steps = 1 << 16
+    for target in reached[::-(-len(reached) // 4)].tolist():
+        u_c = np.full(steps, u[np.argmax(c == target)])
+        c_v, lo, hi = table.inverse_cdf(u_c, _grid(steps))
+        assert (c_v == target).all()
+        high = b * table.joint(target, 0)
+        share = high / (high + (r - b) * table.joint(target, b))
+        assert np.isin(lo, (0, b)).all() and (hi == np.where(lo, r, b)).all()
+        assert abs(np.count_nonzero(lo == 0) - steps * share) <= 1.0, target
+
+
 def support_restricted_sample(table, rng):
     """The sampler as it was before the full cumulative.
 
@@ -273,25 +306,9 @@ SEEDING_MASTERS = {
 }
 
 
-def _draws(rng):
-    return (rng.random(), int(rng.integers(0, 7)), rng.random(),
-            int(rng.integers(0, 2**40)))
-
-
 def _seeded(master, count):
     """Each of master's next ``count`` children's PCG64 (state, inc)."""
     return pipeline._pcg64_seeded(pipeline._child_seeds(master, 0, count))
-
-
-@pytest.mark.parametrize("count", [1, 2, 1000])
-@pytest.mark.parametrize("name", list(SEEDING_MASTERS))
-def test_trial_generators_match_spawned_default_rng(name, count):
-    master = SEEDING_MASTERS[name]()
-    want = [_draws(np.random.default_rng(child))
-            for child in _copy(master).spawn(count)]
-    state, inc = _seeded(master, count)
-    got = [_draws(pipeline._generator(state, inc, i)) for i in range(count)]
-    assert got == want
 
 
 @pytest.mark.parametrize("count", [1, 2, 1000])
@@ -350,19 +367,38 @@ def _count_samples(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n,x", [(15, 7), (21, 2), (57, 7), (171, 7)])
-def test_run_trials_exact_redraw_path(monkeypatch, n, x):
-    want = [_records(reference_run_trials(n, x, 40, seed))
-            for seed in range(5)]
+def _flag_every_draw(monkeypatch):
+    """Make ``run_trials`` redraw every trial from its own Generator."""
     lemire = pipeline._lemire32
 
     def flag_all(words, span):
         return lemire(words, span)[0], np.ones(len(words), bool)
 
     monkeypatch.setattr(pipeline, "_lemire32", flag_all)
+
+
+@pytest.mark.parametrize("n,x", [(15, 7), (21, 2), (57, 7), (171, 7)])
+def test_run_trials_exact_redraw_path(monkeypatch, n, x):
+    want = [_records(reference_run_trials(n, x, 40, seed))
+            for seed in range(5)]
+    _flag_every_draw(monkeypatch)
     calls = _count_samples(monkeypatch)
     assert [_records(run_trials(n, x, 40, seed)) for seed in range(5)] == want
     assert len(calls) == 5 * 40
+
+
+@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("name", list(SEEDING_MASTERS))
+def test_trial_generators_match_spawned_default_rng(monkeypatch, name, count):
+    # Every trial is redrawn from the Generator of its spawned child, in
+    # blocks of 7, so children after the first block are numbered too.
+    master = SEEDING_MASTERS[name]()
+    want = _records(reference_run_trials(21, 2, count, _copy(master)))
+    _flag_every_draw(monkeypatch)
+    monkeypatch.setattr(pipeline, "_BLOCK", 7)
+    calls = _count_samples(monkeypatch)
+    assert _records(run_trials(21, 2, count, master)) == want
+    assert len(calls) == count
 
 
 def test_run_trials_samples_only_flagged_trials(monkeypatch):

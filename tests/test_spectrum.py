@@ -314,6 +314,20 @@ def test_cumulative_at_support_equals_support_cumsum():
         assert table.cumulative[support].tobytes() == expected.tobytes()
 
 
+def test_columns_equal_the_tiled_arrays_and_rows_their_transpose():
+    # columns() repeats the period lists; the tiled full-length views are
+    # an independent path to the same q values of each column
+    for r, q in PERIOD_GRID:
+        table = build_spectrum(instance_of_order(r), q)
+        columns = table.columns()
+        assert columns == (
+            list(range(q)), table.marginals.tolist(),
+            table.signed_residues.tolist(), table.good_flags.tolist(),
+        ), (r, q)
+        assert [type(col[-1]) for col in columns] == [int, float, int, bool]
+        assert list(table.rows()) == list(zip(*columns)), (r, q)
+
+
 def test_table_paths_allocate_less_than_one_q_length_array():
     # r = 48 at q = 2^20 gives gcd(r, q) = 16: the build, sampling and
     # verify_bounds work on the 2^16-long period and never need an array
