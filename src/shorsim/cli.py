@@ -10,12 +10,15 @@ reproducible byte for byte. Probabilities are printed with 12 significant
 digits: more than the 1e-12 normalization tolerance resolves, fewer than
 double-precision noise.
 
-The table writers take records as columns, one list of values per key, and
-format a column with one call per block of rows rather than one per cell.
+The table writers take records as columns, one list of values per key.
+Each column is formatted with one call, not one per cell, and the writers
+join its text into lines a block of rows at a time. A spectrum dump formats
+one gcd(r, q) period of each column and repeats the text.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -82,43 +85,45 @@ def _columns(records: list) -> dict:
     return {k: [rec[k] for rec in records] for k in records[0]}
 
 
-def _write_rows(template: str, columns: list, fmt, out) -> None:
-    """Write ``template % row`` for each row of the formatted columns.
+def _write_rows(template: str, columns: list, out) -> None:
+    """Write ``template % row`` for each row of the text columns.
 
-    ``fmt`` turns a slice of one column into its cells (``list`` when the
-    column is text already). Each block of ``_ROWS_PER_WRITE`` rows is
-    formatted column by column, and its lines are joined into one write.
+    A column holds each row's cell text; a ``range`` of ints may stand in
+    for a column of their ``str``, which ``%s`` writes. The lines of each
+    block of ``_ROWS_PER_WRITE`` rows are joined into one write.
     """
     for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        cells = [fmt(values[i:i + _ROWS_PER_WRITE]) for values in columns]
-        out.write("".join(map(template.__mod__, zip(*cells))))
+        block = [column[i:i + _ROWS_PER_WRITE] for column in columns]
+        out.write("".join(map(template.__mod__, zip(*block))))
 
 
-def _write_json(columns: dict, out) -> None:
+def _write_json(keys, columns: list, out) -> None:
     """One JSON object per row, as ``json.dumps`` writes a flat dict."""
     template = ", ".join(
-        json.dumps(k).replace("%", "%%") + ": %s" for k in columns
+        json.dumps(k).replace("%", "%%") + ": %s" for k in keys
     )
-    _write_rows("{" + template + "}\n", list(columns.values()),
-                _json_cells, out)
+    _write_rows("{" + template + "}\n", columns, out)
 
 
-def _write_csv(columns: dict, out) -> None:
+def _write_csv(keys, columns: list, out) -> None:
     """A header of the keys, then one comma-separated line per row."""
-    out.write(",".join(columns) + "\n")
-    template = ",".join(["%s"] * len(columns)) + "\n"
-    _write_rows(template, list(columns.values()), _cells, out)
+    out.write(",".join(keys) + "\n")
+    _write_rows(",".join(["%s"] * len(keys)) + "\n", columns, out)
+
+
+def _write_padded(keys, columns: list, widths: list, out) -> None:
+    """Right-align each text column, header included, to its width."""
+    template = "  ".join(f"%{w}s" for w in widths) + "\n"
+    out.write(template % tuple(keys))
+    _write_rows(template, columns, out)
 
 
 def _write_aligned(columns: dict, out) -> None:
     """Right-align each column, header included, to its widest cell."""
     cells = [_cells(values) for values in columns.values()]
-    template = "  ".join(
-        f"%{max(len(k), max(map(len, col)))}s"
-        for k, col in zip(columns, cells)
-    ) + "\n"
-    out.write(template % tuple(columns))
-    _write_rows(template, cells, list, out)
+    widths = [max(len(k), max(map(len, col)))
+              for k, col in zip(columns, cells)]
+    _write_padded(columns, cells, widths, out)
 
 
 def _write_kv(record: dict, out) -> None:
@@ -126,24 +131,33 @@ def _write_kv(record: dict, out) -> None:
         out.write(f"{k} = {_cell(v) if v is not None else 'none'}\n")
 
 
-def _emit(fmt: str, columns: dict, human, out, summary=None) -> None:
+def _emit_text(fmt: str, keys, text, human, out, summary=None) -> None:
     """Write columns as JSON lines, as CSV, or as text via ``human(out)``.
 
-    ``columns`` maps each key to its values, one per record, in output
-    order. ``summary`` holds values about the whole record set: a final
-    JSON object, or ``# key = value`` lines after the CSV. The human text
-    carries its own.
+    ``text(cells)`` returns the columns of ``keys``, in output order, as
+    text columns for ``_write_rows``, given the format's cell function:
+    ``_json_cells`` or ``_cells``. ``summary`` holds values about the whole
+    record set: a final JSON object, or ``# key = value`` lines after the
+    CSV. The human text carries its own.
     """
     if fmt == "structured-record":
-        _write_json(columns, out)
+        _write_json(keys, text(_json_cells), out)
         if summary:
-            _write_json(_columns([summary]), out)
+            _write_json(summary, [_json_cells([v]) for v in summary.values()],
+                        out)
     elif fmt == "delimited-table":
-        _write_csv(columns, out)
+        _write_csv(keys, text(_cells), out)
         for k, v in (summary or {}).items():
             out.write(f"# {k} = {_cell(v)}\n")
     else:
         human(out)
+
+
+def _emit(fmt: str, columns: dict, human, out, summary=None) -> None:
+    """``_emit_text`` for ``columns``, which map each key to its values,
+    one per record: each column's values are formatted in one call."""
+    _emit_text(fmt, columns, lambda cells: list(map(cells, columns.values())),
+               human, out, summary)
 
 
 def cmd_simulate(args) -> int:
@@ -231,10 +245,11 @@ def cmd_spectrum(args) -> int:
     instance = FactoringInstance.create(args.n, args.x)
     q = args.q if args.q is not None else pipeline.choose_q(args.n).q
     table = build_spectrum(instance, q)
-    columns = dict(zip(
-        ("c", "marginal_probability", "signed_residue", "good_flag"),
-        table.columns(),
-    ))
+    keys = ("c", "marginal_probability", "signed_residue", "good_flag")
+    periods = [period.tolist() for period in (
+        table.period_marginals, table.period_residues, table.period_flags
+    )]
+    p = len(periods[0])
     summary = {
         "normalization": float(table.marginals.sum()),
         "p_min_good_c": float(
@@ -242,16 +257,27 @@ def cmd_spectrum(args) -> int:
         ),
     }
 
+    def text(cells):
+        # Every column but c repeats with the period p, so one period is
+        # formatted and its text list repeated, which copies references.
+        # str(c) is c's text in every format.
+        return [range(q)] + [cells(period) * (q // p) for period in periods]
+
     def human(out):
         out.write(
             f"n = {instance.n}  x = {instance.x}  r = {instance.r}  "
             f"q = {q}\n\n"
         )
-        _write_aligned(columns, out)
+        columns = text(_cells)
+        widths = [len(str(q - 1))] + [
+            max(map(len, column[:p])) for column in columns[1:]
+        ]
+        _write_padded(keys, columns,
+                      [max(len(k), w) for k, w in zip(keys, widths)], out)
         out.write("\n")
         _write_kv(summary, out)
 
-    _emit(args.format, columns, human, out, summary)
+    _emit_text(args.format, keys, text, human, out, summary)
     return 0
 
 
@@ -383,9 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and shared by later calls.
+
+    Parsing reads the parser and writes only the fresh namespace it
+    returns, so calls share no state.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -149,16 +149,16 @@ class SpectrumTable:
     marks |{r c}_q| <= r/2. ``marginals``, ``signed_residues`` and
     ``good_flags`` are the same arrays over all q values of c, tiled on
     first access (for gcd(r, q) = 1 they are the period arrays themselves).
-    ``inverse_cdf`` maps arrays of uniform draws to measurements (c and the
-    range k is drawn from) by inverse-CDF sampling over ``cumulative``, the
-    running sum of the period marginals, computed on first use; it also
-    memoises the two k-group weights of each period row it reaches.
-    ``sample`` draws one (c, k) from a Generator through it, and
-    ``pipeline.run_trials`` computes a block of trials' uniforms at once
-    and maps them with one call. The arrays are frozen, and the lazily
-    filled caches are written only with values computed from them, so
-    threads sharing a table at worst fill an entry twice with identical
-    values.
+    ``inverse_cdf`` maps uniform draws, two floats or two arrays of them,
+    to measurements (c and the range k is drawn from) by inverse-CDF
+    sampling over ``cumulative``, the running sum of the period marginals,
+    computed on first use; it also memoises the two k-group weights of
+    each period row it reaches. ``sample`` draws one (c, k) from a
+    Generator through it, and ``pipeline.run_trials`` computes a block of
+    trials' uniforms at once and maps them with one call. The arrays are
+    frozen, and the lazily filled caches are written only with values
+    computed from them, so threads sharing a table at worst fill an entry
+    twice with identical values.
     """
 
     q: int
@@ -176,53 +176,63 @@ class SpectrumTable:
 
         One ``rng.random()`` selects c, a second selects k's class-size
         group when there are two (q % r != 0), and ``rng.integers`` draws k
-        uniformly inside the group; ``inverse_cdf`` maps the two uniforms.
+        uniformly inside the group; ``inverse_cdf`` maps the two uniforms
+        as floats, building no array.
         """
         u = rng.random()
         v = rng.random() if self.q % self.r else 0.0
-        c, lo, hi = (
-            int(a[0]) for a in self.inverse_cdf(np.array([u]), np.array([v]))
-        )
+        c, lo, hi = map(int, self.inverse_cdf(u, v))
         return c, int(rng.integers(lo, hi))
 
-    def inverse_cdf(self, u: np.ndarray, v: np.ndarray) -> tuple:
+    def inverse_cdf(self, u, v) -> tuple:
         """Map uniforms in [0, 1) to measured c and the range k is drawn from.
 
-        Returns int64 arrays (c, k_lo, k_hi): draw i measures c[i], and k
-        is uniform on [k_lo[i], k_hi[i]). The q/p copies of the period
-        [0, p) carry equal mass, so u, scaled by their number, picks a copy
-        by its integer part and c inside that copy by inverse-CDF sampling
-        of its fraction over the period's cumulative marginals. A draw at
-        the very top of a copy is clamped to the copy's last c with nonzero
-        marginal. Given c, the k-conditional depends only on the class size
-        m_k, which takes the two values A+1 (classes k < B) and A (classes
-        k >= B) where q = A*r + B; so v picks a class-size group with the
-        appropriate weight, computed once per period row. With B = 0 there
-        is one group, [0, r), and v is not read.
+        ``u`` and ``v`` are two floats, or two arrays of them. Returns
+        (c, k_lo, k_hi), as ints or as int64 arrays: draw i measures
+        c[i], and k is uniform on [k_lo[i], k_hi[i]). The q/p copies of the
+        period [0, p) carry equal mass, so u, scaled by their number, picks
+        a copy by its integer part and c inside that copy by inverse-CDF
+        sampling of its fraction over the period's cumulative marginals. A
+        draw at the very top of a copy is clamped to the copy's last c with
+        nonzero marginal. Given c, the k-conditional depends only on the
+        class size m_k, which takes the two values A+1 (classes k < B) and
+        A (classes k >= B) where q = A*r + B; so v picks a class-size group
+        with the appropriate weight, computed once per period row. With
+        B = 0 there is one group, [0, r), and v is not read.
         """
         cum = self.cumulative
         p = len(cum)
         copies = self.q // p
         # copies is a power of two, so u * copies and its fraction are exact.
         scaled = u * copies
-        copy = scaled.astype(np.int64)
-        # Only a draw of 1.0, which no Generator makes, reaches copies.
-        np.minimum(copy, copies - 1, out=copy)
-        rows = cum.searchsorted((scaled - copy) * cum[-1], "right")
-        top = rows == p
-        if top.any():
-            rows[top] = np.flatnonzero(self.period_marginals > 0.0)[-1]
-        c = copy * p + rows
+        copy = scaled // 1
+        # Only a draw of 1.0, which no Generator makes, reaches copies: it
+        # is the top of the last copy.
+        copy -= copy == copies
+        rows = self._clamped_cumulative.searchsorted(
+            (scaled - copy) * cum[-1], "right"
+        )
+        # np.int64 converts a float array to an int64 array.
+        c = np.int64(copy) * p + rows
 
         r = self.r
         b = self.q % r
         if b == 0:
-            return c, np.zeros_like(c), np.full_like(c, r)
+            # c * 0 has c's type and shape, array or not.
+            return c, c * 0, c * 0 + r
+        group_hi, total = self._group_weights(rows)
+        high = v * total < group_hi
+        # A high draw takes k from [0, B), any other from [B, r).
+        return c, b - b * high, r - (r - b) * high
+
+    def _group_weights(self, rows) -> tuple:
+        """``_row_weights`` of one period row, or arrays of them per row."""
+        if not isinstance(rows, np.ndarray):
+            return self._row_weights(int(rows))
         distinct = sorted(set(rows.tolist()))
         group_hi, total = np.array([self._row_weights(j) for j in distinct]).T
         inverse = np.searchsorted(distinct, rows)
-        high = v * total[inverse] < group_hi[inverse]
-        return c, np.where(high, 0, b), np.where(high, b, r)
+        return group_hi[inverse], total[inverse]
 
     def _row_weights(self, j: int) -> tuple[float, float]:
         """``_k_weights[j]``, computed on first use."""
@@ -299,6 +309,21 @@ class SpectrumTable:
         support.
         """
         return np.cumsum(self.period_marginals)
+
+    @cached_property
+    def _clamped_cumulative(self) -> np.ndarray:
+        """``cumulative`` below the period's last row with nonzero marginal.
+
+        Every row from that one on holds the total, so searching this view
+        finds the row searching ``cumulative`` finds, except that a value
+        at or above the total, which only a draw at the very top of a copy
+        reaches, lands on that last row instead of past the end.
+        """
+        # Searched from the end, so no index array of the support is built.
+        last = len(self.period_marginals) - 1 - int(
+            np.argmax(self.period_marginals[::-1] > 0.0)
+        )
+        return self.cumulative[:last]
 
 
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:

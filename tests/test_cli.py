@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shorsim import FactoringInstance, build_spectrum
-from shorsim.cli import DEFAULT_SEED, FORMATS, main
+from shorsim import FactoringInstance, build_spectrum, cli
+from shorsim.cli import DEFAULT_SEED, FORMATS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -278,6 +278,35 @@ def test_main_callable_in_process(capsys):
     code = main(["audit", "--n", "15", "--s", "8", "--reg2", "4"])
     assert code == 0
     assert "compliant" in capsys.readouterr().out
+
+
+def test_consecutive_main_calls_share_no_state(capsys, monkeypatch):
+    # main builds its parser once per process; no call may see another's
+    # arguments, defaults or exit status.
+    builds = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        audit = ["audit", "--n", "15", "--s", "8", "--reg2", "4"]
+        assert main(audit + ["--x", "7"]) == 0
+        assert "bound argument at x = 7" in capsys.readouterr().out
+        assert main(audit) == 0
+        assert "bound argument" not in capsys.readouterr().out
+
+        spectrum = ["spectrum", "--n", "15", "--x", "7", "--q", "16"]
+        assert main(spectrum + ["--format", "structured-record"]) == 0
+        assert capsys.readouterr().out.startswith('{"c": 0, ')
+        assert main(spectrum) == 0
+        assert capsys.readouterr().out.startswith("n = 15  x = 7  r = 4")
+
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--n", "15"])
+        assert exc.value.code == 1
+        assert main(audit) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
 
 
 def test_default_seed_constant():

@@ -2,9 +2,13 @@
 
 ``ref_*`` below are the row-wise writers the CLI used before it formatted
 one column at a time, kept verbatim as the reference: they take one dict
-per row. Each CLI command is run twice, once as it stands and once with
-``cli._emit`` and ``cli._write_aligned`` replaced by the reference fed the
-same values row by row, and the two stdouts must be equal byte for byte.
+per row. Each ``simulate``, ``sweep`` and ``verify-bounds`` case is run
+twice, once as it stands and once with ``cli._emit`` and
+``cli._write_aligned`` replaced by the reference fed the same values row by
+row, and the two stdouts must be equal byte for byte. A ``spectrum`` dump
+formats one period of text and writes no value column through ``_emit``,
+so its reference is built without the CLI, from the values of
+``build_spectrum(...).columns()``.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 from shorsim import cli
+from shorsim.spectrum import FactoringInstance, build_spectrum
 
 
 def ref_cell(v) -> str:
@@ -78,7 +83,36 @@ def run(argv) -> tuple:
     return code, out.getvalue()
 
 
+def ref_spectrum(n: int, x: int, q: int, fmt: str) -> str:
+    """The spectrum dump, written row by row from ``columns()``'s values."""
+    instance = FactoringInstance.create(n, x)
+    table = build_spectrum(instance, q)
+    keys = ("c", "marginal_probability", "signed_residue", "good_flag")
+    records = [dict(zip(keys, row)) for row in zip(*table.columns())]
+    summary = {
+        "normalization": float(table.marginals.sum()),
+        "p_min_good_c": float(
+            table.period_marginals[table.period_flags].min()
+        ),
+    }
+
+    def human(out):
+        out.write(f"n = {n}  x = {x}  r = {instance.r}  q = {q}\n\n")
+        ref_write_aligned(records, out)
+        out.write("\n")
+        for k, v in summary.items():
+            out.write(f"{k} = {ref_cell(v)}\n")
+
+    out = io.StringIO()
+    ref_emit(fmt, records, human, out, summary)
+    return out.getvalue()
+
+
 def run_row_wise(argv, monkeypatch) -> tuple:
+    if argv[0] == "spectrum":
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        return 0, ref_spectrum(int(opts["--n"]), int(opts["--x"]),
+                               int(opts["--q"]), opts["--format"])
     with monkeypatch.context() as m:
         m.setattr(cli, "_emit", lambda fmt, columns, human, out, summary=None:
                   ref_emit(fmt, records_of(columns), human, out, summary))
@@ -164,8 +198,33 @@ def test_writers_bound_the_text_formatted_at_once(monkeypatch):
 
     monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
     columns = {"c": list(range(10)), "p": [c / 10 for c in range(10)]}
-    cli._write_csv(columns, Out())
+    cli._write_csv(columns, [cli._cells(v) for v in columns.values()],
+                   Out())
     assert len(writes) == 1 + 4  # the header, then rows 3 + 3 + 3 + 1
     ref = io.StringIO()
     ref_write_csv(records_of(columns), ref)
     assert "".join(writes) == ref.getvalue()
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_spectrum_formats_one_period_of_cells(fmt, monkeypatch):
+    # (221, 2, 4096): r = 24 and gcd(r, q) = 8, so the period p is 512 of
+    # q = 4096 values of c. Every cell the dump formats passes through
+    # _cell or _json_cells; the summary adds two.
+    counted = []
+    cell, json_cells = cli._cell, cli._json_cells
+
+    def counting_cell(v):
+        counted.append(1)
+        return cell(v)
+
+    def counting_json_cells(values):
+        counted.append(len(values))
+        return json_cells(values)
+
+    monkeypatch.setattr(cli, "_cell", counting_cell)
+    monkeypatch.setattr(cli, "_json_cells", counting_json_cells)
+    code, out = run(["spectrum", "--n", "221", "--x", "2", "--q", "4096",
+                     "--format", fmt])
+    assert code == 0 and out.count("\n") > 4096
+    assert sum(counted) <= 3 * 512 + 2
