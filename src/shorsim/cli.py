@@ -1,8 +1,8 @@
 """Command-line front end for the simulator and the auditor.
 
 Subcommands: simulate, audit, spectrum, sweep, verify-bounds. Exit status
-contract: 0 for success or a compliant audit, 1 for usage errors, 2 for a
-non-compliant audit, and nothing else.
+contract: 0 for success or a compliant audit, 1 for usage errors and for
+running out of memory, 2 for a non-compliant audit, and nothing else.
 
 All randomness flows from --seed; when the flag is absent the fixed
 DEFAULT_SEED is used, never the clock, so every published output is
@@ -10,10 +10,11 @@ reproducible byte for byte. Probabilities are printed with 12 significant
 digits: more than the 1e-12 normalization tolerance resolves, fewer than
 double-precision noise.
 
-The table writers take records as columns, one list of values per key.
-Each column is formatted with one call, not one per cell, and the writers
-join its text into lines a block of rows at a time. A spectrum dump formats
-one gcd(r, q) period of each column and repeats the text.
+``_emit`` writes every table, given as columns: a list of values, or a
+range of ints, per key. Each column is formatted with one call, not one per
+cell, and the writers join its text into lines a block of rows at a time.
+A shorter column is one period of its values: a spectrum dump formats one
+gcd(r, q) period.
 """
 
 import argparse
@@ -85,14 +86,23 @@ def _columns(records: list) -> dict:
     return {k: [rec[k] for rec in records] for k in records[0]}
 
 
+def _texts(cells, columns: dict) -> list:
+    """Each column's text by ``cells``; a ``range`` stands for its ``str``s."""
+    return [column if isinstance(column, range) else cells(column)
+            for column in columns.values()]
+
+
 def _write_rows(template: str, columns: list, out) -> None:
     """Write ``template % row`` for each row of the text columns.
 
-    A column holds each row's cell text; a ``range`` of ints may stand in
-    for a column of their ``str``, which ``%s`` writes. The lines of each
-    block of ``_ROWS_PER_WRITE`` rows are joined into one write.
+    There are as many rows as the longest column has; a shorter column's
+    text is repeated, which copies references. The lines of each block of
+    ``_ROWS_PER_WRITE`` rows are joined into one write.
     """
-    for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+    rows = max(map(len, columns))
+    columns = [col if len(col) == rows else col * (rows // len(col))
+               for col in columns]
+    for i in range(0, rows, _ROWS_PER_WRITE):
         block = [column[i:i + _ROWS_PER_WRITE] for column in columns]
         out.write("".join(map(template.__mod__, zip(*block))))
 
@@ -111,53 +121,44 @@ def _write_csv(keys, columns: list, out) -> None:
     _write_rows(",".join(["%s"] * len(keys)) + "\n", columns, out)
 
 
-def _write_padded(keys, columns: list, widths: list, out) -> None:
-    """Right-align each text column, header included, to its width."""
-    template = "  ".join(f"%{w}s" for w in widths) + "\n"
-    out.write(template % tuple(keys))
-    _write_rows(template, columns, out)
-
-
 def _write_aligned(columns: dict, out) -> None:
     """Right-align each column, header included, to its widest cell."""
-    cells = [_cells(values) for values in columns.values()]
-    widths = [max(len(k), max(map(len, col)))
-              for k, col in zip(columns, cells)]
-    _write_padded(columns, cells, widths, out)
+    cells = _texts(_cells, columns)
+    # A range counts up from 0, so its last int is its widest.
+    widths = [
+        max(len(k), len(str(col[-1])) if isinstance(col, range)
+            else max(map(len, col)))
+        for k, col in zip(columns, cells)
+    ]
+    template = "  ".join(f"%{w}s" for w in widths) + "\n"
+    out.write(template % tuple(columns))
+    _write_rows(template, cells, out)
 
 
 def _write_kv(record: dict, out) -> None:
     for k, v in record.items():
-        out.write(f"{k} = {_cell(v) if v is not None else 'none'}\n")
+        out.write(f"{k} = {_cell(v)}\n")
 
 
-def _emit_text(fmt: str, keys, text, human, out, summary=None) -> None:
+def _emit(fmt: str, columns: dict, human, out, summary=None) -> None:
     """Write columns as JSON lines, as CSV, or as text via ``human(out)``.
 
-    ``text(cells)`` returns the columns of ``keys``, in output order, as
-    text columns for ``_write_rows``, given the format's cell function:
-    ``_json_cells`` or ``_cells``. ``summary`` holds values about the whole
-    record set: a final JSON object, or ``# key = value`` lines after the
-    CSV. The human text carries its own.
+    ``columns`` maps each key to a list of values or a ``range`` of ints.
+    ``summary`` holds values about the whole record set: a final JSON
+    object, or ``# key = value`` lines after the CSV. The human text
+    carries its own.
     """
     if fmt == "structured-record":
-        _write_json(keys, text(_json_cells), out)
+        _write_json(columns, _texts(_json_cells, columns), out)
         if summary:
             _write_json(summary, [_json_cells([v]) for v in summary.values()],
                         out)
     elif fmt == "delimited-table":
-        _write_csv(keys, text(_cells), out)
+        _write_csv(columns, _texts(_cells, columns), out)
         for k, v in (summary or {}).items():
             out.write(f"# {k} = {_cell(v)}\n")
     else:
         human(out)
-
-
-def _emit(fmt: str, columns: dict, human, out, summary=None) -> None:
-    """``_emit_text`` for ``columns``, which map each key to its values,
-    one per record: each column's values are formatted in one call."""
-    _emit_text(fmt, columns, lambda cells: list(map(cells, columns.values())),
-               human, out, summary)
 
 
 def cmd_simulate(args) -> int:
@@ -199,7 +200,7 @@ def cmd_simulate(args) -> int:
                 f"q = {traces[0].q}  ell = {inst.ell}\n"
             )
             out.write(
-                f"success_bound = {pipeline.success_bound(inst.r):.12g}\n\n"
+                f"success_bound = {_cell(pipeline.success_bound(inst.r))}\n\n"
             )
             keys = [
                 "sampled_c", "sampled_k", "recovered_d", "recovered_r",
@@ -231,11 +232,10 @@ def cmd_audit(args) -> int:
     if appl is not None:
         out.write("\n")
         out.write(f"bound argument at x = {appl.x} (order r = {appl.r}):\n")
-        out.write(f"  applicable = {_cell(appl.applicable)}\n")
-        out.write(f"  r_over_q = {appl.r_over_q:.12g}\n")
-        if appl.p_min is not None:
-            out.write(f"  p_min = {appl.p_min:.12g}\n")
-            out.write(f"  one_third_bound = {appl.one_third_bound:.12g}\n")
+        for key in ("applicable", "r_over_q", "p_min", "one_third_bound"):
+            value = getattr(appl, key)
+            if value is not None:
+                out.write(f"  {key} = {_cell(value)}\n")
         out.write(f"  {appl.explanation}\n")
     return 0 if report.verdict is auditor.Verdict.COMPLIANT else 2
 
@@ -245,39 +245,32 @@ def cmd_spectrum(args) -> int:
     instance = FactoringInstance.create(args.n, args.x)
     q = args.q if args.q is not None else pipeline.choose_q(args.n).q
     table = build_spectrum(instance, q)
-    keys = ("c", "marginal_probability", "signed_residue", "good_flag")
-    periods = [period.tolist() for period in (
-        table.period_marginals, table.period_residues, table.period_flags
-    )]
-    p = len(periods[0])
+    # Every column but c repeats with the period, so one period is passed.
+    columns = {
+        "c": range(q),
+        "marginal_probability": table.period_marginals.tolist(),
+        "signed_residue": table.period_residues.tolist(),
+        "good_flag": table.period_flags.tolist(),
+    }
     summary = {
-        "normalization": float(table.marginals.sum()),
+        # The q/p copies of the period sum alike, and q/p is a power of two.
+        "normalization": float(table.period_marginals.sum())
+        * (q // len(table.period_marginals)),
         "p_min_good_c": float(
             table.period_marginals[table.period_flags].min()
         ),
     }
-
-    def text(cells):
-        # Every column but c repeats with the period p, so one period is
-        # formatted and its text list repeated, which copies references.
-        # str(c) is c's text in every format.
-        return [range(q)] + [cells(period) * (q // p) for period in periods]
 
     def human(out):
         out.write(
             f"n = {instance.n}  x = {instance.x}  r = {instance.r}  "
             f"q = {q}\n\n"
         )
-        columns = text(_cells)
-        widths = [len(str(q - 1))] + [
-            max(map(len, column[:p])) for column in columns[1:]
-        ]
-        _write_padded(keys, columns,
-                      [max(len(k), w) for k, w in zip(keys, widths)], out)
+        _write_aligned(columns, out)
         out.write("\n")
         _write_kv(summary, out)
 
-    _emit_text(args.format, keys, text, human, out, summary)
+    _emit(args.format, columns, human, out, summary)
     return 0
 
 
@@ -426,4 +419,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # Validation failures, NotAUnitError included, are usage errors.
         print(f"shorsim: error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:
+        print(f"shorsim: error: out of memory: {exc}", file=sys.stderr)
+    return 1

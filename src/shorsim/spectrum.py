@@ -244,23 +244,17 @@ class SpectrumTable:
             self._k_weights[j] = weights
         return weights
 
-    def columns(self) -> tuple:
+    def rows(self):
         """(c, marginal_probability, signed_residue, good_flag) over [0, q).
 
-        Four lists of Python int, float, int and bool: each period array
-        is converted by ``tolist`` once and repeated once per period. c is
-        a list rather than a range, so a JSON writer can encode it.
+        Python int, float, int and bool: each period array is converted by
+        ``tolist`` once and repeated once per period.
         """
         copies = self.q // len(self.period_marginals)
-        return (list(range(self.q)),) + tuple(
+        return zip(range(self.q), *(
             period.tolist() * copies for period in
             (self.period_marginals, self.period_residues, self.period_flags)
-        )
-
-    def rows(self):
-        """(c, marginal_probability, signed_residue, good_flag) rows, the
-        transpose of ``columns``."""
-        return zip(*self.columns())
+        ))
 
     def _tiled(self, period: np.ndarray) -> np.ndarray:
         """``period`` tiled to length q, read-only; a view if q long."""

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shorsim import FactoringInstance, build_spectrum, cli
+from shorsim import FactoringInstance, SpectrumTable, build_spectrum, cli
 from shorsim.cli import DEFAULT_SEED, FORMATS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +122,15 @@ def test_audit_with_base_applicability():
     assert result.returncode == 2
     assert "applicable = false" in result.stdout
     assert "r_over_q = 2" in result.stdout
+    # an inapplicable bound has no p_min to report
+    assert "p_min =" not in result.stdout
+    assert "one_third_bound =" not in result.stdout
+    result = run_cli("audit", "--n", "15", "--s", "8", "--reg2", "4",
+                     "--x", "7")
+    assert (
+        "  applicable = true\n  r_over_q = 0.015625\n  p_min = 0.0625\n"
+        "  one_third_bound = 0.0208333333333\n"
+    ) in result.stdout
 
 
 def test_audit_with_nonunit_base_is_usage_error():
@@ -368,26 +377,60 @@ def test_any_bounded_input_stays_inside_exit_contract(argv):
     assert code in (0, 1, 2), argv
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
-def test_n3233_runs_in_384_mib_of_address_space():
-    # gcd(r, q) = 4 at n = 3233, x = 3 (r = 260, q = 2^24): a table kept at
-    # one period fits, one tiled to length q (about 450 MB at peak) does not
+def run_capped(limit: int, *args):
+    """``run_cli`` in a child whose address space is capped at ``limit``."""
     import resource
-
-    limit = 384 << 20
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    def run(*args):
-        return run_cli(*args, preexec_fn=cap, OPENBLAS_NUM_THREADS="1",
-                       OMP_NUM_THREADS="1")
+    return run_cli(*args, preexec_fn=cap, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
 
-    sim = run("simulate", "--n", "3233", "--x", "3", "--trials", "2000")
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_n3233_runs_in_384_mib_of_address_space():
+    # gcd(r, q) = 4 at n = 3233, x = 3 (r = 260, q = 2^24): a table kept at
+    # one period fits, one tiled to length q (about 450 MB at peak) does not
+    sim = run_capped(384 << 20, "simulate", "--n", "3233", "--x", "3",
+                     "--trials", "2000")
     assert sim.returncode == 0, sim.stderr
-    verify = run("verify-bounds", "--n", "3233", "--x", "3")
+    verify = run_capped(384 << 20, "verify-bounds", "--n", "3233", "--x", "3")
     assert verify.returncode == 0, verify.stderr
     recorded = json.loads((ROOT / "bench" / "expected.json").read_text())
     want = recorded["digests"]["verify-bounds --n 3233 --x 3"]
     assert want["exit"] == 0
     assert hashlib.sha256(verify.stdout.encode()).hexdigest() == want["sha256"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_out_of_memory_is_a_one_line_usage_exit():
+    # n = 10403, x = 2: r = 5100 and q = 2^27, so one period is 2^25 values
+    # of c, 256 MiB per float64 array, which 256 MiB of address space cannot
+    # hold beside the interpreter
+    res = run_capped(256 << 20, "simulate", "--n", "10403", "--x", "2",
+                     "--trials", "10")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("shorsim: error: out of memory: ")
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    *(["spectrum", "--n", "221", "--x", "2", "--format", f] for f in FORMATS),
+    ["simulate", "--n", "221", "--x", "2", "--trials", "3"],
+    ["simulate", "--n", "221", "--x", "2", "--trials", "50"],
+    ["sweep", "--n-list", "221", "--trials", "20"],
+    ["verify-bounds", "--n", "221", "--x", "2"],
+    ["audit", "--n", "221", "--s", "16", "--reg2", "8", "--x", "2"],
+], ids=" ".join)
+def test_no_command_tiles_the_period(argv, monkeypatch):
+    # r = 24 at n = 221, x = 2 and q = 2^16, so gcd(r, q) = 8: every command
+    # works on the period of q/8 values of c and never needs the q-long
+    # marginals, signed_residues or good_flags
+    def refuse(table, period):
+        raise AssertionError("a period was tiled to length q")
+
+    monkeypatch.setattr(SpectrumTable, "_tiled", refuse)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) in (0, 2)
+    assert out.getvalue()

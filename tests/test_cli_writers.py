@@ -6,9 +6,8 @@ per row. Each ``simulate``, ``sweep`` and ``verify-bounds`` case is run
 twice, once as it stands and once with ``cli._emit`` and
 ``cli._write_aligned`` replaced by the reference fed the same values row by
 row, and the two stdouts must be equal byte for byte. A ``spectrum`` dump
-formats one period of text and writes no value column through ``_emit``,
-so its reference is built without the CLI, from the values of
-``build_spectrum(...).columns()``.
+passes ``_emit`` one period of each column, so its reference is built
+without the CLI, from the values of ``build_spectrum(...).rows()``.
 """
 
 import contextlib
@@ -84,11 +83,11 @@ def run(argv) -> tuple:
 
 
 def ref_spectrum(n: int, x: int, q: int, fmt: str) -> str:
-    """The spectrum dump, written row by row from ``columns()``'s values."""
+    """The spectrum dump, written row by row from ``rows()``'s values."""
     instance = FactoringInstance.create(n, x)
     table = build_spectrum(instance, q)
     keys = ("c", "marginal_probability", "signed_residue", "good_flag")
-    records = [dict(zip(keys, row)) for row in zip(*table.columns())]
+    records = [dict(zip(keys, row)) for row in table.rows()]
     summary = {
         "normalization": float(table.marginals.sum()),
         "p_min_good_c": float(
