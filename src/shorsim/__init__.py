@@ -41,7 +41,6 @@ from .pipeline import (
     estimate_success,
     run_once,
     run_trials,
-    sample_measurement,
     success_bound,
 )
 from .spectrum import (
@@ -92,7 +91,6 @@ __all__ = [
     "recover_rational",
     "run_once",
     "run_trials",
-    "sample_measurement",
     "signed_residue",
     "success_bound",
     "verify_bounds",

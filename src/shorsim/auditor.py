@@ -319,11 +319,12 @@ def bound_argument_applicability(
         )
     else:
         p_min = one_third = None
+        # The largest class, k = 0, holds the exponents 0, r, 2r, ... < q.
         explanation = (
             f"inapplicable: the integral estimate of the amplitude sum "
             f"requires r much smaller than q, but r/q = {r}/{q} = "
             f"{r / q:g}; with q = 2^{s} the sum has at most "
-            f"{max(q // r, 1)} terms per residue class"
+            f"{(q - 1) // r + 1} terms per residue class"
         )
     return ApplicabilityReport(
         n=n, x=x, s=s, q=q, r=r,

@@ -283,34 +283,32 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         pipeline.validate_modulus(n)
 
+    # Each accepted pair spawns the master's next child, so the pairs get
+    # SeedSequence(seed).spawn(count) in order, skipped pairs taking none.
+    master = np.random.SeedSequence(args.seed)
+    rows = []
     # Every validated n is odd, so the default base 2 is always a unit.
-    instances = []
     for n in args.n_list:
         for x in args.bases or [2]:
             try:
-                instances.append(FactoringInstance.create(n, x))
+                instance = FactoringInstance.create(n, x)
             except nt.NotAUnitError as exc:
                 print(
                     f"skipping n = {n}, x = {x}: gcd = "
                     f"{exc.factor} already factors n",
                     file=sys.stderr,
                 )
+                continue
             except ValueError:
                 print(
                     f"skipping n = {n}, x = {x}: base out of range",
                     file=sys.stderr,
                 )
-
-    if not instances:
-        raise ValueError("no valid (n, x) pairs to sweep")
-    seeds = np.random.SeedSequence(args.seed).spawn(len(instances))
-    rows = []
-    for instance, seed in zip(instances, seeds):
-        n, x = instance.n, instance.x
-        est = pipeline.estimate_success(n, x, args.trials, seed)
-        bound = verify_bounds(instance, pipeline.choose_q(n).q)
-        rows.append(
-            {
+                continue
+            [seed] = master.spawn(1)
+            est = pipeline.estimate_success(n, x, args.trials, seed)
+            bound = verify_bounds(instance, est.q)
+            rows.append({
                 "n": n,
                 "x": x,
                 "r": est.r,
@@ -320,8 +318,9 @@ def cmd_sweep(args) -> int:
                 "factor_rate": est.factor_rate,
                 "p_min": bound.p_min,
                 "one_third_bound": bound.one_third_bound,
-            }
-        )
+            })
+    if not rows:
+        raise ValueError("no valid (n, x) pairs to sweep")
     _write_aligned(_columns(rows), out)
     return 0
 

@@ -22,7 +22,6 @@ import enum
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -117,11 +116,6 @@ class RunTrace:
                 self.failure_reason.value if self.failure_reason else None
             ),
         }
-
-
-def sample_measurement(table: SpectrumTable, seed) -> tuple[int, int]:
-    """Draw one (c, k) with ``table.sample``; deterministic given seed."""
-    return table.sample(np.random.default_rng(seed))
 
 
 def recover_order(
@@ -458,7 +452,7 @@ def success_bound(r: int) -> float:
 
 @dataclass(frozen=True)
 class SuccessEstimate:
-    """Monte-Carlo aggregate of run_once outcomes for one (n, x).
+    """Monte-Carlo aggregate of run_trials outcomes for one (n, x).
 
     ``order_recovery_rate`` counts trials whose recovered r_candidate equals
     the true order exactly; ``factor_rate`` counts trials that emitted a
@@ -490,20 +484,13 @@ def estimate_success(n: int, x: int, trials: int, seed) -> SuccessEstimate:
     traces = run_trials(n, x, trials, seed)
     instance = traces[0].instance
     r = instance.r
-    # Traces that measured the same c share its outcome, so they are
-    # tallied by c and each c's outcome is read once.
-    sampled_c = list(map(attrgetter("sampled_c"), traces))
-    trace_of = dict(zip(sampled_c, traces))
-    order_hits = factor_hits = 0
-    failures = {reason.value: 0 for reason in FailureReason}
-    for c, count in Counter(sampled_c).items():
-        t = trace_of[c]
-        if t.recovered and t.recovered[1] == r:
-            order_hits += count
-        if t.failure_reason is None:
-            factor_hits += count
-        else:
-            failures[t.failure_reason.value] += count
+    order_hits = sum(
+        t.recovered is not None and t.recovered[1] == r for t in traces
+    )
+    # A trace without a failure reason emitted a factor pair.
+    reasons = Counter(t.failure_reason for t in traces)
+    factor_hits = reasons.pop(None, 0)
+    failures = {reason.value: reasons[reason] for reason in FailureReason}
 
     bound = success_bound(r)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)

@@ -316,6 +316,8 @@ def test_applicability_runs_order_oracle_once(monkeypatch, s):
 # register2_qubits = ell: each outcome is the report's fields, or
 # [exception type, message]. The bases are 0, 1, 2, n - 1, n and a non-unit;
 # 0, 1 and n fail at every width with "base must be in [2, n - 1]".
+# (21, 2) and (33, 2), where r does not divide q, were re-recorded when the
+# inapplicable explanation's term count became the largest class's size.
 APPLICABILITY_DIGESTS = {
     (15, 0): "7dec4d42810b0e54ca92c07df22d2cc9",
     (15, 1): "cab41937543672dda5461b4bfe63ce01",
@@ -325,13 +327,13 @@ APPLICABILITY_DIGESTS = {
     (15, 3): "646418024afa50e63248fb173adf92f1",
     (21, 0): "2419abc9135555c49dcb7b81c8e43ba0",
     (21, 1): "99db4796b468f0326ee4f3d42e9b54d5",
-    (21, 2): "5fed865f10e9b97513df4fbde2f93b9a",
+    (21, 2): "56629bc0670ba101135c0337587e528e",
     (21, 20): "0b4fd4691fb5800ba294449ff07c4b7d",
     (21, 21): "a614729de9b29f3204922ae20ee8fbd5",
     (21, 3): "58a24c832cbc69b8d4bbbc9ff62c68b1",
     (33, 0): "dfaaece78eef5e7952c53efb5d283f4f",
     (33, 1): "403f10cd820ec26bc0f1c537281e60c2",
-    (33, 2): "7980f2b11fd7198ac6e82899c0a12189",
+    (33, 2): "f6181c228e3e0b7d414fc1ad2e4639dd",
     (33, 32): "10b2e6e2e1303c01d3fe676dca6e9c63",
     (33, 33): "b244a52277e349514c9c997deb7fa3d8",
     (33, 3): "a75efd36563cb02b0bf0318542782168",
@@ -354,6 +356,35 @@ def test_applicability_pinned(n, x):
         json.dumps(outcomes).encode(), digest_size=16
     ).hexdigest()
     assert digest == APPLICABILITY_DIGESTS[n, x]
+
+
+@pytest.mark.parametrize("n,s,x,terms", [
+    (21, 3, 2, 2),  # r = 6 does not divide q = 8: class 0 holds a = 0, 6
+    (15, 3, 7, 2),  # r = 4 divides q = 8
+    (33, 3, 2, 1),  # q = 8 < r = 10
+])
+def test_applicability_counts_the_largest_residue_class(n, s, x, terms):
+    config = RegisterConfig(n, s, (n - 1).bit_length())
+    report = bound_argument_applicability(config, x)
+    assert report.explanation.endswith(
+        f"at most {terms} terms per residue class"
+    )
+
+
+@pytest.mark.parametrize("n,x", [(15, 2), (21, 2), (33, 2), (35, 3), (65, 2)])
+def test_applicability_term_count_matches_class_sizes(n, x):
+    # Class k holds the exponents a = k, k + r, ... below q; the
+    # explanation names the size of the largest, at every inapplicable s.
+    ell = (n - 1).bit_length()
+    for s in range(1, 2 * ell):
+        report = bound_argument_applicability(RegisterConfig(n, s, ell), x)
+        if report.applicable:
+            continue
+        largest = max(len(range(k, report.q, report.r))
+                      for k in range(report.r))
+        assert report.explanation.endswith(
+            f"at most {largest} terms per residue class"
+        ), (n, x, s)
 
 
 @pytest.mark.parametrize("x", [0, 1, 15])

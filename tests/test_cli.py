@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shorsim import FactoringInstance, SpectrumTable, build_spectrum, cli
+from shorsim import (
+    FactoringInstance, SpectrumTable, build_spectrum, cli, estimate_success,
+)
 from shorsim.cli import DEFAULT_SEED, FORMATS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +256,29 @@ def test_sweep_skips_nonunit_base():
         "skipping n = 15, x = 5: gcd = 5 already factors n",
     ]
     assert len(result.stdout.strip().split("\n")) == 2
+
+
+def test_sweep_seeds_accepted_pairs_in_acceptance_order():
+    # x = 3 shares a factor with both moduli, so (15, 3) and (21, 3) are
+    # skipped and take no seed: the two accepted pairs get children 0, 1.
+    result = run_cli("sweep", "--n-list", "15,21", "--bases", "3,2",
+                     "--trials", "200", "--seed", "8")
+    assert result.returncode == 0
+    assert result.stderr.splitlines() == [
+        "skipping n = 15, x = 3: gcd = 3 already factors n",
+        "skipping n = 21, x = 3: gcd = 3 already factors n",
+    ]
+    header, *lines = result.stdout.splitlines()
+    rows = [dict(zip(header.split(), line.split())) for line in lines]
+    seeds = np.random.SeedSequence(8).spawn(2)
+    assert [(row["n"], row["x"]) for row in rows] == [("15", "2"),
+                                                     ("21", "2")]
+    for row, seed in zip(rows, seeds):
+        est = estimate_success(int(row["n"]), 2, 200, seed)
+        assert row["order_recovery_rate"] == cli._cell(
+            est.order_recovery_rate
+        )
+        assert row["factor_rate"] == cli._cell(est.factor_rate)
 
 
 def test_sweep_usage_errors():

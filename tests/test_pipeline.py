@@ -20,7 +20,6 @@ from shorsim import (
     estimate_success,
     run_once,
     run_trials,
-    sample_measurement,
     success_bound,
 )
 from shorsim import pipeline
@@ -43,16 +42,16 @@ def test_choose_q_window(n):
 def test_sample_measurement_support_and_determinism():
     table = build_spectrum(FactoringInstance.create(15, 7), 256)
     for seed in range(30):
-        c, k = sample_measurement(table, seed)
+        c, k = table.sample(np.random.default_rng(seed))
         assert c in {0, 64, 128, 192}
         assert 0 <= k < 4
-        assert (c, k) == sample_measurement(table, seed)
+        assert (c, k) == table.sample(np.random.default_rng(seed))
 
 
 def test_sample_measurement_degenerate_support():
     # r = 2 at q = 256: only two support points
     table = build_spectrum(FactoringInstance.create(15, 14), 256)
-    seen = {sample_measurement(table, seed)[0] for seed in range(40)}
+    seen = {table.sample(np.random.default_rng(seed))[0] for seed in range(40)}
     assert seen <= {0, 128}
 
 
@@ -60,7 +59,7 @@ def test_sample_measurement_never_draws_empty_class():
     # q = 2, r = 4: residue classes k >= 2 contain no exponents (m_k = 0)
     table = build_spectrum(FactoringInstance.create(15, 7), 2)
     for seed in range(60):
-        c, k = sample_measurement(table, seed)
+        c, k = table.sample(np.random.default_rng(seed))
         assert c in {0, 1}
         assert k in {0, 1}
 
@@ -144,7 +143,7 @@ def test_sampler_matches_support_restricted_inverse_cdf(n, x, q):
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         expected = support_restricted_sample(table, rng)
-        assert sample_measurement(table, seed) == expected, seed
+        assert table.sample(np.random.default_rng(seed)) == expected, seed
 
 
 class _TopOfRange:

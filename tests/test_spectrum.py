@@ -22,7 +22,6 @@ from shorsim import (
     good_c_set,
     integral_term,
     joint_probability,
-    sample_measurement,
     verify_bounds,
 )
 from shorsim import numtheory as nt
@@ -337,7 +336,7 @@ def test_table_paths_allocate_less_than_one_q_length_array():
     tracemalloc.start()
     try:
         table = build_spectrum(instance, q)
-        draws = [sample_measurement(table, seed) for seed in range(5)]
+        draws = [table.sample(np.random.default_rng(seed)) for seed in range(5)]
         report = verify_bounds(instance, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
