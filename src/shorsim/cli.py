@@ -1,8 +1,8 @@
 """Command-line front end for the simulator and the auditor.
 
 Subcommands: simulate, audit, spectrum, sweep, verify-bounds. Exit status
-contract: 0 for success or a compliant audit, 1 for usage errors and for
-running out of memory, 2 for a non-compliant audit, and nothing else.
+contract: 0 for success or a compliant audit, 1 for a usage error, running
+out of memory or a closed stdout, 2 for a non-compliant audit, nothing else.
 
 All randomness flows from --seed; when the flag is absent the fixed
 DEFAULT_SEED is used, never the clock, so every published output is
@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -198,15 +199,11 @@ def cmd_simulate(args) -> int:
             out.write(
                 f"n = {inst.n}  x = {inst.x}  r = {inst.r}  "
                 f"q = {traces[0].q}  ell = {inst.ell}\n"
-            )
-            out.write(
                 f"success_bound = {_cell(pipeline.success_bound(inst.r))}\n\n"
             )
-            keys = [
-                "sampled_c", "sampled_k", "recovered_d", "recovered_r",
-                "order_verified", "factor_1", "factor_2", "failure_reason",
-            ]
-            _write_aligned({k: columns[k] for k in keys}, out)
+            shown = dataclasses.asdict(inst).keys() | {"q"}  # in the header
+            _write_aligned({k: col for k, col in columns.items()
+                            if k not in shown}, out)
 
         _emit(args.format, columns, human, out)
         return 0
@@ -414,10 +411,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
     except ValueError as exc:
         # Validation failures, NotAUnitError included, are usage errors.
         print(f"shorsim: error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"shorsim: error: out of memory: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # Buffered text goes to devnull, so the exit's flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("shorsim: error: stdout closed early", file=sys.stderr)
     return 1

@@ -363,12 +363,11 @@ def _lemire32(words: np.ndarray, span: np.ndarray) -> tuple:
     32-bit output: the high word of low32 * span. Returns those draws and a
     mask of the draws it would not take as they stand: it rejects and
     draws again when the leftover low word falls below a threshold smaller
-    than span, so a leftover below span is flagged. A span of 1 consumes no
-    output, and draws 0 unflagged.
+    than span, so a leftover below span is flagged.
     """
     span = span.astype(np.uint64)
     m = (words & _U32) * span
-    return (m >> 32).astype(np.int64), ((m & _U32) < span) & (span > 1)
+    return (m >> 32).astype(np.int64), (m & _U32) < span
 
 
 def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:

@@ -198,7 +198,7 @@ class SpectrumTable:
         class size m_k, which takes the two values A+1 (classes k < B) and
         A (classes k >= B) where q = A*r + B; so v picks a class-size group
         with the appropriate weight, computed once per period row. With
-        B = 0 there is one group, [0, r), and v is not read.
+        B = 0 the high group [0, B) is empty, so k is drawn from [0, r).
         """
         cum = self.cumulative
         p = len(cum)
@@ -217,9 +217,6 @@ class SpectrumTable:
 
         r = self.r
         b = self.q % r
-        if b == 0:
-            # c * 0 has c's type and shape, array or not.
-            return c, c * 0, c * 0 + r
         group_hi, total = self._group_weights(rows)
         high = v * total < group_hi
         # A high draw takes k from [0, B), any other from [B, r).

@@ -100,6 +100,78 @@ def test_simulate_delimited_table_round_trip():
         assert cells["order_verified"] in ("true", "false")
 
 
+# sha256 of ``simulate --trials 20 --seed 1729`` stdout per format: one
+# table row per trial pins every sampled (c, k). q % r is 0 at (15, 7), 2 at
+# (21, 2) and 16 at (221, 2); at (57, 7), q % r = 1 makes [0, 1) a k group
+# whose draw has a span of 1.
+PINNED_TRACES = {
+    (15, 7): {
+        "human":
+            "ce98ee91e8be98af2b9e42d2a103e380391b0a66a6db09ebf0863b43fe6d9edd",
+        "delimited-table":
+            "7a8602b1c19767572c30c4f6caee812fdc0becbf814f8fb220d9ccc5b981b8ed",
+        "structured-record":
+            "374c4806223ceb6c542707f7d99669a4965e0739f569ea705a6358863874f2b1",
+    },
+    (21, 2): {
+        "human":
+            "8c79c62930650447cf8d6542254f242c0bccb2dc536ca3af68edbe3d8d90961d",
+        "delimited-table":
+            "d01e0c6a0d49955d863e7f86675fd874275edb641bc8d91e05de8efe62bda17f",
+        "structured-record":
+            "54f0953e8800dbfda65b29b459159bbca95c32e87d4bdebfd661b11fb8f8be35",
+    },
+    (221, 2): {
+        "human":
+            "7c49ecc6d73c45a76538c5a02b67bba5a4cdd3ecf1f4196283434376df5b2ac0",
+        "delimited-table":
+            "54229863bca2fe87257a48dda4f532089be589bdfc9f1dba235679b3334214f5",
+        "structured-record":
+            "b9aceec911a39373c24c1827fb22b777ec4b0f796e12044920783b570d1dfd93",
+    },
+    (57, 7): {
+        "human":
+            "4d4b80ab201017ace1ffea8b7cba47e67f0afa36d0b795949324a1e1066565fb",
+        "delimited-table":
+            "14ebaa558115a326e447b0fc4b7964a00a774b1e3bc1d51f36e1f2a5d8f27351",
+        "structured-record":
+            "d7233a9c53ead3800b975f53d113fe1f59cc88178e6fc61c549a91f50467d54b",
+    },
+}
+
+
+@pytest.mark.parametrize("n,x,fmt", [
+    (n, x, fmt) for (n, x), digests in PINNED_TRACES.items() for fmt in digests
+])
+def test_simulate_per_trial_draws_pinned(n, x, fmt):
+    argv = ["simulate", "--n", str(n), "--x", str(x), "--trials", "20",
+            "--seed", "1729", "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == PINNED_TRACES[n, x][fmt]
+
+
+def test_closed_stdout_is_a_one_line_usage_exit():
+    # the reader takes the first line of a 2^16-row dump and closes the pipe
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shorsim", "spectrum", "--n", "221", "--x",
+         "2", "--format", "delimited-table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.readline() == \
+        "c,marginal_probability,signed_residue,good_flag\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr
+    assert stderr.startswith("shorsim: error: ")
+    assert stderr.count("\n") == 1, stderr
+
+
 def test_audit_exit_codes_and_evidence():
     bad = run_cli("audit", "--n", "15", "--s", "1", "--reg2", "4")
     assert bad.returncode == 2

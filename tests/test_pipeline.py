@@ -97,6 +97,11 @@ def test_inverse_cdf_on_a_grid_matches_probabilities_exactly(n, x, q):
     assert np.abs(counts - size * table.marginals).max() <= 1.0
     r, b = table.r, q % table.r
     if b == 0:
+        # The high group [0, B) is empty: every draw takes k from [0, r).
+        _, lo, hi = table.inverse_cdf(u, u[::-1])
+        assert lo.dtype == hi.dtype == np.int64
+        assert (lo == 0).all() and (hi == r).all()
+        assert tuple(map(int, table.inverse_cdf(0.3, 0.9)[1:])) == (0, r)
         return
     reached = np.flatnonzero(counts)
     steps = 1 << 16
