@@ -16,6 +16,8 @@ so Monte-Carlo aggregates can be compared against the phi(r)/(3r)
 per-invocation lower bound term by term. The outcome is a function of the
 measured c alone, since k never enters the post-processing, so it is
 computed once per distinct c and shared by every trial that measured it.
+Likewise ``run_trials`` builds one frozen ``RunTrace`` per distinct (c, k)
+and hands the same object to every trial that drew that pair.
 """
 
 import enum
@@ -400,7 +402,10 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     """Run independent trials with per-trial seeds derived from one master.
 
     The spectrum is built once and shared, and so is the outcome of each
-    distinct c. Trial i draws (c, k) as ``table.sample`` does from
+    distinct c. Trials that drew the same (c, k) share one ``RunTrace``
+    object: it is frozen, so the list equals, element by element, one
+    trace built per trial, and ``RunTrace``'s checks run once per distinct
+    pair. Trial i draws (c, k) as ``table.sample`` does from
     ``default_rng(child)`` for the master's spawned child number
     n_children_spawned + i, so any single trial can be reproduced in
     isolation: for an int seed, trial i is
@@ -428,15 +433,16 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
         )
     instance, q, table = _setup(n, x)
     outcomes = {}
+    shared = {}
     traces = []
     for start in range(0, trials, _BLOCK):
         c, k = _draws(table, master, start, min(_BLOCK, trials - start))
         for value in set(c).difference(outcomes):
             outcomes[value] = _classify(instance, q, value)
-        traces += [
-            RunTrace(instance, q, c_i, k_i, *outcomes[c_i])
-            for c_i, k_i in zip(c, k)
-        ]
+        pairs = list(zip(c, k))
+        for pair in set(pairs).difference(shared):
+            shared[pair] = RunTrace(instance, q, *pair, *outcomes[pair[0]])
+        traces += map(shared.__getitem__, pairs)
     return traces
 
 

@@ -279,6 +279,44 @@ def test_run_trials_classifies_each_distinct_c_once(monkeypatch):
         assert outcome == pipeline._classify(instance, q, t.sampled_c)
 
 
+@pytest.mark.parametrize("n,x,trials,seed", [(221, 2, 20000, 1),
+                                             (15, 7, 2000, 1729)])
+def test_run_trials_shares_one_trace_per_distinct_pair(
+    monkeypatch, n, x, trials, seed
+):
+    post_inits = []
+    post_init = RunTrace.__post_init__
+
+    def counting(self):
+        post_inits.append((self.sampled_c, self.sampled_k))
+        post_init(self)
+
+    monkeypatch.setattr(RunTrace, "__post_init__", counting)
+    traces = run_trials(n, x, trials, seed)
+    monkeypatch.undo()
+    pairs = [(t.sampled_c, t.sampled_k) for t in traces]
+    assert len(traces) == trials
+    assert len(set(pairs)) < trials
+    assert len({id(t) for t in traces}) == len(set(pairs))
+    assert sorted(post_inits) == sorted(set(pairs))
+    first = {}
+    for pair, t in zip(pairs, traces):
+        assert first.setdefault(pair, t) is t
+    instance, q = traces[0].instance, traces[0].q
+    assert traces == [
+        RunTrace(instance, q, c, k, *pipeline._classify(instance, q, c))
+        for c, k in pairs
+    ]
+
+
+def test_shared_trace_cannot_be_mutated():
+    trace = run_trials(15, 7, 10, 99)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.sampled_k = trace.sampled_k + 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.failure_reason = None
+
+
 def _copy(master):
     """A fresh SeedSequence in the same state, spawn counter included."""
     return np.random.SeedSequence(
