@@ -152,8 +152,10 @@ class SpectrumTable:
     ``inverse_cdf`` maps uniform draws, two floats or two arrays of them,
     to measurements (c and the range k is drawn from) by inverse-CDF
     sampling over ``cumulative``, the running sum of the period marginals,
-    computed on first use; it also memoises the two k-group weights of
-    each period row it reaches. ``sample`` draws one (c, k) from a
+    computed on first use, with u capped at 1 - 2^-53 as its one
+    top-of-range rule. The two k-group weights of each period row it
+    reaches are memoised by ``_group_weights`` in a ``_k_weights`` dict in
+    the instance's ``__dict__``. ``sample`` draws one (c, k) from a
     Generator through it, and ``pipeline.run_trials`` computes a block of
     trials' uniforms at once and maps them with one call. The arrays are
     frozen, and the lazily filled caches are written only with values
@@ -192,26 +194,27 @@ class SpectrumTable:
         c[i], and k is uniform on [k_lo[i], k_hi[i]). The q/p copies of the
         period [0, p) carry equal mass, so u, scaled by their number, picks
         a copy by its integer part and c inside that copy by inverse-CDF
-        sampling of its fraction over the period's cumulative marginals. A
-        draw at the very top of a copy is clamped to the copy's last c with
-        nonzero marginal. Given c, the k-conditional depends only on the
-        class size m_k, which takes the two values A+1 (classes k < B) and
-        A (classes k >= B) where q = A*r + B; so v picks a class-size group
-        with the appropriate weight, computed once per period row. With
-        B = 0 the high group [0, B) is empty, so k is drawn from [0, r).
+        sampling of its fraction over the period's cumulative marginals. One
+        clamp guards the top of the range: u is capped at 1 - 2^-53, the
+        largest value ``Generator.random()`` returns, so no draw searches
+        past the period's last c with nonzero marginal, and a draw of 1.0
+        lands where 1 - 2^-53 does, at the top of the last copy. Given c,
+        the k-conditional depends only on the class size m_k, which takes
+        the two values A+1 (classes k < B) and A (classes k >= B) where
+        q = A*r + B; so v picks a class-size group with the appropriate
+        weight, which ``_group_weights`` computes once per period row and
+        keeps in the table's ``_k_weights`` dict. With B = 0 the high group
+        [0, B) is empty, so k is drawn from [0, r).
         """
         cum = self.cumulative
         p = len(cum)
         copies = self.q // p
         # copies is a power of two, so u * copies and its fraction are exact.
-        scaled = u * copies
+        # A fraction below 1 times the total rounds below the total, which
+        # every row from the period's last nonzero one on holds.
+        scaled = np.minimum(u, 1.0 - 2.0**-53) * copies
         copy = scaled // 1
-        # Only a draw of 1.0, which no Generator makes, reaches copies: it
-        # is the top of the last copy.
-        copy -= copy == copies
-        rows = self._clamped_cumulative.searchsorted(
-            (scaled - copy) * cum[-1], "right"
-        )
+        rows = cum.searchsorted((scaled - copy) * cum[-1], "right")
         # np.int64 converts a float array to an int64 array.
         c = np.int64(copy) * p + rows
 
@@ -223,23 +226,26 @@ class SpectrumTable:
         return c, b - b * high, r - (r - b) * high
 
     def _group_weights(self, rows) -> tuple:
-        """``_row_weights`` of one period row, or arrays of them per row."""
-        if not isinstance(rows, np.ndarray):
-            return self._row_weights(int(rows))
-        distinct = sorted(set(rows.tolist()))
-        group_hi, total = np.array([self._row_weights(j) for j in distinct]).T
-        inverse = np.searchsorted(distinct, rows)
-        return group_hi[inverse], total[inverse]
+        """(B P(j, 0), B P(j, 0) + (r - B) P(j, B)) for period rows j.
 
-    def _row_weights(self, j: int) -> tuple[float, float]:
-        """``_k_weights[j]``, computed on first use."""
-        weights = self._k_weights.get(j)
-        if weights is None:
-            r, b = self.r, self.q % self.r
-            group_hi = b * self.joint(j, 0)
-            weights = (group_hi, group_hi + (r - b) * self.joint(j, b))
-            self._k_weights[j] = weights
-        return weights
+        ``rows`` is one row or an array of them, and the two weights come
+        back in the same form. P(c, k) depends on c only through its period
+        row, so every copy of row j shares the weights ``inverse_cdf``
+        picks the k group by. Each row's pair is computed on first use and
+        kept in the table's ``_k_weights`` dict.
+        """
+        memo = vars(self).setdefault("_k_weights", {})
+        scalar = not isinstance(rows, np.ndarray)
+        distinct = [int(rows)] if scalar else sorted(set(rows.tolist()))
+        for j in distinct:
+            if j not in memo:
+                r, b = self.r, self.q % self.r
+                group_hi = b * self.joint(j, 0)
+                memo[j] = (group_hi, group_hi + (r - b) * self.joint(j, b))
+        if scalar:
+            return memo[distinct[0]]
+        weights = np.array([memo[j] for j in distinct])
+        return tuple(weights[np.searchsorted(distinct, rows)].T)
 
     def rows(self):
         """(c, marginal_probability, signed_residue, good_flag) over [0, q).
@@ -283,15 +289,6 @@ class SpectrumTable:
         return _all_copies(idx, p, self.q // p)
 
     @cached_property
-    def _k_weights(self) -> dict:
-        """Period row j -> (B P(j, 0), B P(j, 0) + (r - B) P(j, B)).
-
-        P(c, k) depends on c only through its period row, so every copy of
-        row j shares the weights ``inverse_cdf`` picks the k group by.
-        """
-        return {}
-
-    @cached_property
     def cumulative(self) -> np.ndarray:
         """Running sum of the period marginals, for inverse-CDF sampling.
 
@@ -300,21 +297,6 @@ class SpectrumTable:
         support.
         """
         return np.cumsum(self.period_marginals)
-
-    @cached_property
-    def _clamped_cumulative(self) -> np.ndarray:
-        """``cumulative`` below the period's last row with nonzero marginal.
-
-        Every row from that one on holds the total, so searching this view
-        finds the row searching ``cumulative`` finds, except that a value
-        at or above the total, which only a draw at the very top of a copy
-        reaches, lands on that last row instead of past the end.
-        """
-        # Searched from the end, so no index array of the support is built.
-        last = len(self.period_marginals) - 1 - int(
-            np.argmax(self.period_marginals[::-1] > 0.0)
-        )
-        return self.cumulative[:last]
 
 
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:

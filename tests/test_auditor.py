@@ -269,6 +269,44 @@ def test_verdict_follows_hard_checks_only():
             assert report.verdict is expected
 
 
+# Each check's stated rule, read from its description and evaluated on its
+# own evidence. COND_CFE_DISTINGUISH is left out: it passes iff q >= n^2,
+# not iff its pair count is 0, so today its verdict can contradict its
+# evidence (ROADMAP item 2).
+STATED_RULES = {
+    COND_Q_GE_N2: ("q >= n^2", lambda e: e["q"] >= e["n_squared"]),
+    COND_Q_LT_2N2: ("q < 2 n^2", lambda e: e["q"] < e["two_n_squared"]),
+    COND_REG2_WIDTH: (
+        "register2_qubits >= ceil(log2 n)",
+        lambda e: e["register2_qubits"] >= e["ell"],
+    ),
+    COND_TOTAL_QUBITS: (
+        "s + register2_qubits >= 3 * ceil(log2 n)",
+        lambda e: e["total_qubits"] >= e["three_ell"],
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 400), s=st.integers(1, 24), reg2=st.integers(1, 24))
+def test_checks_pass_by_the_rule_their_description_states(n, s, reg2):
+    report = audit(
+        RegisterConfig(n=n, register1_qubits=s, register2_qubits=reg2)
+    )
+    q, ell = 2**s, math.ceil(math.log2(n))
+    evidence = {
+        COND_Q_GE_N2: {"q": q, "n_squared": n * n},
+        COND_Q_LT_2N2: {"q": q, "two_n_squared": 2 * n * n},
+        COND_REG2_WIDTH: {"register2_qubits": reg2, "ell": ell},
+        COND_TOTAL_QUBITS: {"total_qubits": s + reg2, "three_ell": 3 * ell},
+    }
+    for condition_id, (stated, rule) in STATED_RULES.items():
+        check = report.check(condition_id)
+        assert stated in check.description
+        assert check.evidence == evidence[condition_id]
+        assert check.passed is rule(check.evidence)
+
+
 def test_applicability_single_qubit():
     config = RegisterConfig(n=15, register1_qubits=1, register2_qubits=4)
     report = bound_argument_applicability(config, 7)

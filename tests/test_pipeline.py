@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: seeded traces, classification, estimator."""
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 
@@ -24,6 +25,7 @@ from shorsim import (
 )
 from shorsim import pipeline
 from shorsim.pipeline import recover_order, validate_modulus
+from shorsim.spectrum import _joint
 
 
 def test_choose_q_examples():
@@ -174,6 +176,103 @@ def test_sampler_top_of_range_draws_last_support_c(n, x, q):
         c, k = table.sample(_TopOfRange(value))
         assert c == last
         assert (c, k) == support_restricted_sample(table, _TopOfRange(value))
+
+
+@functools.lru_cache(maxsize=1)
+def _last_nonzero_row(table):
+    return int(np.flatnonzero(table.period_marginals)[-1])
+
+
+def two_clamp_inverse_cdf(table, u, v):
+    """``inverse_cdf`` as it was with two top-of-range rules.
+
+    A draw of 1.0 stepped back into the last copy, and c was searched over
+    ``cumulative`` cut just before the period's last nonzero row, so a
+    value at or above the total landed on that row. The k-group weights
+    are recomputed from ``joint`` for every draw.
+    """
+    cum = table.cumulative
+    p = len(cum)
+    copies = table.q // p
+    last = _last_nonzero_row(table)
+    scaled = u * copies
+    copy = scaled // 1
+    copy -= copy == copies
+    rows = cum[:last].searchsorted((scaled - copy) * cum[-1], "right")
+    c = np.int64(copy) * p + rows
+    r, b = table.r, table.q % table.r
+
+    def weights(j):
+        group_hi = b * table.joint(j, 0)
+        return group_hi, group_hi + (r - b) * table.joint(j, b)
+
+    if isinstance(rows, np.ndarray):
+        group_hi, total = np.array([weights(j) for j in rows.tolist()]).T
+    else:
+        group_hi, total = weights(int(rows))
+    high = v * total < group_hi
+    return c, b - b * high, r - (r - b) * high
+
+
+def _top_and_boundary_uniforms(copies):
+    """Every copy boundary j/copies, its float neighbours, and the top."""
+    bounds = np.arange(copies + 1) / copies
+    return np.concatenate([
+        bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0),
+        [1.0 - 2.0**-53, 1.0],
+    ])
+
+
+@pytest.mark.parametrize("n,x,q", SAMPLER_CASES + [(3233, 3, 1 << 20)])
+def test_inverse_cdf_matches_two_clamp_reference_bitwise(n, x, q):
+    # At copy boundaries, their float neighbours, the top of random()'s
+    # range, 1.0 and seeded draws, one clamp of u to 1 - 2^-53 draws what
+    # the copy step and the cut cumulative drew, as arrays and as floats.
+    table = build_spectrum(FactoringInstance.create(n, x), q)
+    rng = np.random.default_rng(20240)
+    u = np.concatenate([
+        _top_and_boundary_uniforms(q // len(table.period_marginals)),
+        rng.random(10**4),
+    ])
+    v = rng.random(len(u))
+    want = two_clamp_inverse_cdf(table, u, v)
+    for a, b in zip(table.inverse_cdf(u, v), want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+    for u_i, v_i in zip(u.tolist(), v.tolist()):
+        got = table.inverse_cdf(u_i, v_i)
+        want = two_clamp_inverse_cdf(table, u_i, v_i)
+        assert [(type(a), a) for a in got] == [(type(b), b) for b in want], u_i
+
+
+def test_group_weights_memo_runs_joint_twice_per_distinct_row(monkeypatch):
+    calls = Counter()
+    joint = SpectrumTable.joint
+
+    def counting(self, c, k):
+        calls[c] += 1
+        return joint(self, c, k)
+
+    monkeypatch.setattr(SpectrumTable, "joint", counting)
+    # q % r = 2, so both k groups carry weight.
+    table = build_spectrum(FactoringInstance.create(21, 2), 512)
+    p = len(table.period_marginals)
+    c, _, _ = table.inverse_cdf(0.3, 0.5)
+    row = int(c) % p
+    assert calls == {row: 2}
+    u = np.concatenate([[0.3], np.random.default_rng(5).random(500)])
+    c_v, _, _ = table.inverse_cdf(u, np.full(len(u), 0.5))
+    rows = c_v % p
+    assert rows[0] == row and len(set(rows.tolist())) > 1
+    assert calls == {j: 2 for j in rows.tolist()}
+    hi_scalar, total_scalar = table._group_weights(np.intp(row))
+    hi_array, total_array = table._group_weights(rows)
+    assert calls == {j: 2 for j in rows.tolist()}
+    assert (hi_scalar, total_scalar) == (hi_array[0], total_array[0])
+    r, b = table.r, 512 % table.r
+    group_hi = b * _joint(512, r, row, 0)
+    assert hi_scalar == group_hi
+    assert total_scalar == group_hi + (r - b) * _joint(512, r, row, b)
 
 
 def test_recover_order_examples():

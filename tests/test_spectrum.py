@@ -243,6 +243,65 @@ def test_spectrum_normalization_property(n, data):
     np.testing.assert_array_equal(table.good_flags, 2 * t <= table.r)
 
 
+def recycled_readout(instance: FactoringInstance, s: int):
+    """Probability of every c in [0, 2^s) read out through one control qubit.
+
+    The semiclassical Fourier transform (Griffiths and Niu, PRL 76, 3228)
+    reads c one bit at a time, least significant first, from a single
+    control qubit that is measured and recycled after each round, with
+    feed-forward of the bits already read. The work register is held as
+    amplitudes on the orbit 1, x, x^2, ... of x mod n, so controlled
+    multiplication by x^(2^e) is a roll of the orbit by 2^e mod r. Round j
+    prepares |+>, applies controlled-U^(2^(s-1-j)), turns the |1> branch by
+    -2 pi (bits read so far) / 2^(j+1), applies H and reads bit j of c.
+    All 2^s branches are carried at once: row i holds the unnormalised
+    work register of the branch that read i. Returns the probabilities and
+    each round's roll.
+    """
+    orbit = [1]
+    while orbit[-1] * instance.x % instance.n != 1:
+        orbit.append(orbit[-1] * instance.x % instance.n)
+    states = np.zeros((1, len(orbit)), complex)
+    states[0, 0] = 1.0
+    rolls = []
+    for j in range(s):
+        rolls.append((1 << (s - 1 - j)) % len(orbit))
+        read = np.arange(1 << j)
+        phase = np.exp(-2j * np.pi * read / (1 << (j + 1)))
+        turned = phase[:, None] * np.roll(states, rolls[-1], axis=1)
+        # Bit 0 keeps the branch index, bit 1 adds 2^j to it.
+        states = np.concatenate([states + turned, states - turned]) / 2
+    return (np.abs(states) ** 2).sum(axis=1), rolls
+
+
+RECYCLED_CASES = [
+    *((15, x, s) for x in (2, 7, 8, 11, 13) for s in range(1, 13)),
+    (21, 2, 9), (33, 2, 11), (35, 2, 12), (221, 2, 16),
+]
+
+
+@pytest.mark.parametrize("n,x,s", RECYCLED_CASES)
+def test_recycled_control_qubit_readout_matches_marginals(n, x, s):
+    # The one-control-qubit readout of the Monz et al. experiment draws c
+    # from the table's marginals, at every register width.
+    instance = FactoringInstance.create(n, x)
+    probs, rolls = recycled_readout(instance, s)
+    np.testing.assert_allclose(
+        probs, build_spectrum(instance, 1 << s).marginals, rtol=0, atol=1e-15
+    )
+    # Once r divides 2^(s-1-j), round j's controlled-U is the identity:
+    # at r = 4 every round but the last two, and never for r not a power
+    # of two.
+    r = instance.r
+    identity = [j for j, roll in enumerate(rolls) if roll == 0]
+    if r == 4:
+        assert identity == [j for j in range(s) if s - 1 - j >= 2]
+    elif r == 2:
+        assert identity == [j for j in range(s) if s - 1 - j >= 1]
+    else:
+        assert identity == []
+
+
 def full_length_spectrum(r: int, q: int):
     """(marginals, signed_residues, good_flags) computed over every c.
 
