@@ -218,23 +218,18 @@ _MULT_LO = np.uint64(_PCG64_MULT & _M64)
 _BLOCK = 1 << 13
 
 
-def _words(x) -> list[int]:
-    """x as SeedSequence reads it: 32-bit words, least significant first.
+def _word_count(x) -> int:
+    """How many 32-bit words SeedSequence reads from x.
 
-    An int is split into words (0 is one word), a string is read as a
-    decimal or 0x-prefixed hexadecimal int, and a sequence is the
-    concatenation of its items' words.
+    An int takes one word per started 32 bits (0 takes one), a string is
+    read as a decimal or 0x-prefixed hexadecimal int, and a sequence takes
+    the sum of its items' counts.
     """
     if isinstance(x, str):
         x = int(x, 16 if x.startswith("0x") else 10)
     if isinstance(x, (int, np.integer)):
-        x = int(x)
-        words = [x & _M32]
-        while x > _M32:
-            x >>= 32
-            words.append(x & _M32)
-        return words
-    return [w for item in x for w in _words(item)]
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(map(_word_count, x))
 
 
 def _hasher(init: int, mult: int):
@@ -263,30 +258,26 @@ def _child_seeds(master: np.random.SeedSequence, start: int, count: int):
     """``generate_state(4, np.uint64)`` of ``count`` of master's children.
 
     The children are the ones ``master.spawn`` would number
-    n_children_spawned + start onwards; they are not built. Child i hashes
-    the master's entropy words, zero-padded to the pool size, then its
-    spawn key: the master's plus its number. Only that last word differs
-    between children, so the pool is mixed once up to it, and the last
-    word and generate_state's output hash run over all children at once on
-    arrays. Returns the four uint64 arrays of seed words. The caller keeps
-    every child number below 2^32, so it is one word.
+    n_children_spawned + start onwards; they are not built. A child's
+    entropy is the master's with its number appended to the spawn key, so
+    its pool is ``master.pool`` with that one word mixed into each pool
+    word. NumPy hashes it with the running constant where the master's
+    build left it: INIT_A * MULT_A^calls mod 2^32, after
+    calls = pool_size * (max(entropy words, pool_size) + spawn-key words)
+    hashes. That word and generate_state's output hash run over all
+    children at once on arrays. Returns the four uint64 arrays of seed
+    words. The caller keeps every child number below 2^32, so it is one
+    word.
     """
     pool_size = master.pool_size
-    entropy = _words(master.entropy)
-    entropy += [0] * (pool_size - len(entropy))
-    entropy += _words(master.spawn_key)
+    calls = pool_size * (
+        max(_word_count(master.entropy), pool_size)
+        + _word_count(master.spawn_key)
+    )
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, calls, 1 << 32) & _M32, _MULT_A)
     first = master.n_children_spawned + start
-    entropy.append(np.arange(first, first + count, dtype=np.uint64))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:pool_size]]
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[pool_size:]:
-        for dst in range(pool_size):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    number = np.arange(first, first + count, dtype=np.uint64)
+    pool = [_mix(word, hashmix(number)) for word in master.pool.tolist()]
 
     # Eight 32-bit output words, paired little-endian.
     out_hash = _hasher(_INIT_B, _MULT_B)

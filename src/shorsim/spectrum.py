@@ -152,8 +152,8 @@ class SpectrumTable:
     ``inverse_cdf`` maps uniform draws, two floats or two arrays of them,
     to measurements (c and the range k is drawn from) by inverse-CDF
     sampling over ``cumulative``, the running sum of the period marginals,
-    computed on first use, with u capped at 1 - 2^-53 as its one
-    top-of-range rule. The two k-group weights of each period row it
+    computed on first use, with u = 1.0 moved down to 1 - 2^-53 as its
+    one top-of-range rule. The two k-group weights of each period row it
     reaches are memoised by ``_group_weights`` in a ``_k_weights`` dict in
     the instance's ``__dict__``. ``sample`` draws one (c, k) from a
     Generator through it, and ``pipeline.run_trials`` computes a block of
@@ -195,11 +195,12 @@ class SpectrumTable:
         period [0, p) carry equal mass, so u, scaled by their number, picks
         a copy by its integer part and c inside that copy by inverse-CDF
         sampling of its fraction over the period's cumulative marginals. One
-        clamp guards the top of the range: u is capped at 1 - 2^-53, the
+        rule guards the top of the range: u = 1.0 becomes 1 - 2^-53, the
         largest value ``Generator.random()`` returns, so no draw searches
         past the period's last c with nonzero marginal, and a draw of 1.0
-        lands where 1 - 2^-53 does, at the top of the last copy. Given c,
-        the k-conditional depends only on the class size m_k, which takes
+        lands where 1 - 2^-53 does, at the top of the last copy. A float u
+        stays a Python float, so a scalar draw does float arithmetic. Given
+        c, the k-conditional depends only on the class size m_k, which takes
         the two values A+1 (classes k < B) and A (classes k >= B) where
         q = A*r + B; so v picks a class-size group with the appropriate
         weight, which ``_group_weights`` computes once per period row and
@@ -212,7 +213,7 @@ class SpectrumTable:
         # copies is a power of two, so u * copies and its fraction are exact.
         # A fraction below 1 times the total rounds below the total, which
         # every row from the period's last nonzero one on holds.
-        scaled = np.minimum(u, 1.0 - 2.0**-53) * copies
+        scaled = (u - (u == 1.0) * 2.0**-53) * copies
         copy = scaled // 1
         rows = cum.searchsorted((scaled - copy) * cum[-1], "right")
         # np.int64 converts a float array to an int64 array.

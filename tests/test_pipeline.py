@@ -444,6 +444,16 @@ SEEDING_MASTERS = {
     "sweep-child": lambda: SS(1729).spawn(3)[2],
     "pool-8": lambda: SS(5, pool_size=8),
     "spawned-3": lambda: _spawned(SS(1729), 3),
+    # Each of these moves a term of the hash-call count that reaches
+    # master.pool: entropy past the pool with a spawn key, a two-word
+    # spawn-key item, a larger pool with a key, empty entropy, an int64
+    # array and a two-level spawn key.
+    "2^200-key": lambda: SS(2**200, spawn_key=(3,)),
+    "key-2^40": lambda: SS(7, spawn_key=(2**40, 3)),
+    "pool-8-key": lambda: SS(5, pool_size=8, spawn_key=(1, 2)),
+    "empty-key": lambda: SS([], spawn_key=(4,)),
+    "int64-array": lambda: SS(np.arange(6, dtype=np.int64)),
+    "grandchild": lambda: SS(0).spawn(1)[0].spawn(1)[0],
 }
 
 
