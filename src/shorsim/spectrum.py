@@ -21,7 +21,9 @@ with period q/g in c, so residues, flags and marginals are computed and
 stored for one period only, and every c reads its row at c mod q/g; the
 kernel is needed only at the q/(2g) + 1 magnitudes |t| in
 {0, g, 2g, ..., q/2}. The r | q case, whose support is the multiples of
-q/r, is the extreme of this structure.
+q/r, is the extreme of this structure. Each of the three period columns
+is computed when it is first read, so a caller that needs only the good
+c (``verify_bounds``) never evaluates the kernel.
 """
 
 import math
@@ -138,17 +140,25 @@ def joint_probability(
     return _joint(q, instance.r, c, k)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Measurement distribution over c for one instance, stored as one period.
 
-    Every per-c quantity repeats with period p = q/gcd(r, q) in c, so the
-    table holds c in [0, p) only, and c in [0, q) reads row c mod p.
+    The fields are (q, r) alone, and q must be a power of two. Every per-c
+    quantity repeats with period p = q/gcd(r, q) in c, so the table holds
+    c in [0, p) only, and c in [0, q) reads row c mod p. Its three period
+    columns are computed when first read and kept read-only:
     ``period_marginals[c]`` sums the joint probability over all k;
     ``period_residues[c]`` is {r c}_q in (-q/2, q/2]; ``period_flags[c]``
-    marks |{r c}_q| <= r/2. ``marginals``, ``signed_residues`` and
-    ``good_flags`` are the same arrays over all q values of c, tiled on
-    first access (for gcd(r, q) = 1 they are the period arrays themselves).
+    marks |{r c}_q| <= r/2. A caller pays only for the columns it reads.
+    ``marginals``, ``signed_residues`` and ``good_flags`` are the same
+    arrays over all q values of c, tiled on first access (for
+    gcd(r, q) = 1 they are the period arrays themselves).
     ``inverse_cdf`` maps uniform draws, two floats or two arrays of them,
     to measurements (c and the range k is drawn from) by inverse-CDF
     sampling over ``cumulative``, the running sum of the period marginals,
@@ -158,16 +168,58 @@ class SpectrumTable:
     the instance's ``__dict__``. ``sample`` draws one (c, k) from a
     Generator through it, and ``pipeline.run_trials`` computes a block of
     trials' uniforms at once and maps them with one call. The arrays are
-    frozen, and the lazily filled caches are written only with values
-    computed from them, so threads sharing a table at worst fill an entry
-    twice with identical values.
+    frozen, and every lazily filled column and cache is a function of
+    (q, r) alone, so threads sharing a table at worst compute a column or
+    fill an entry twice, with identical bytes.
     """
 
     q: int
     r: int
-    period_marginals: np.ndarray
-    period_residues: np.ndarray
-    period_flags: np.ndarray
+
+    def __post_init__(self):
+        _require_power_of_two(self.q)
+
+    @cached_property
+    def period_residues(self) -> np.ndarray:
+        """{r c}_q in (-q/2, q/2] for c in [0, p)."""
+        return _read_only(_signed_residues(self.r, self.q))
+
+    @cached_property
+    def period_flags(self) -> np.ndarray:
+        """|{r c}_q| <= r/2 for c in [0, p)."""
+        return _read_only(np.abs(self.period_residues) <= self.r // 2)
+
+    @cached_property
+    def period_marginals(self) -> np.ndarray:
+        """Marginal probability of c in [0, p), summed over k.
+
+        The joint probability depends on k only through m_k, which takes at
+        most two values A and A+1 with multiplicities r - B and B
+        (q = A*r + B), so the k-sum collapses to a two-term combination of
+        kernel values, evaluated at the q/(2g) + 1 residue magnitudes
+        0, g, ..., q/2 and gathered by each c's |{r c}_q|.
+        """
+        q, r = self.q, self.r
+        a, b = divmod(q, r)
+        g = math.gcd(r, q)
+
+        # The marginal depends on c only through |{r c}_q|, a multiple of g
+        # in [0, q/2], so the kernel is evaluated once per such magnitude.
+        # Read first, as sampling reads it, this runs before the residues
+        # exist, so its temporaries do not add to theirs.
+        per_t = np.empty(q // (2 * g) + 1)
+        # Peaks: rc = 0 (mod q), every class contributes (m_k/q)^2.
+        per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
+        t = np.arange(g, q // 2 + 1, g)
+        # Both class sizes in one call, so the denominator is computed once.
+        hi, lo = _kernel(np.array([[a + 1], [a]], np.int64), t, q, np.sin)
+        per_t[1:] = (b * hi + (r - b) * lo) / q**2
+        del t, hi, lo
+
+        abs_t = np.abs(self.period_residues)
+        # g divides the power of two q, so |t| / g is a shift, done in place.
+        abs_t >>= g.bit_length() - 1
+        return _read_only(per_t[abs_t])
 
     def joint(self, c: int, k: int) -> float:
         """Joint probability P(c, k) recomputed from the closed form."""
@@ -301,47 +353,15 @@ class SpectrumTable:
 
 
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:
-    """Compute the marginal distribution over c, one period of it.
+    """The measurement distribution over c for ``instance`` at width q.
 
-    The joint probability depends on k only through m_k, which takes at most
-    two values A and A+1 with multiplicities r - B and B (q = A*r + B), so
-    the k-sum collapses to a two-term combination of kernel values. With
-    g = gcd(r, q), the residues, flags and marginals are computed and kept
-    for one period of q/g values of c, and the kernel is evaluated at the
-    q/(2g) + 1 residue magnitudes 0, g, ..., q/2. No array of length q is
-    allocated unless g = 1, where the period is the whole table.
+    Returns ``SpectrumTable(q=q, r=instance.r)``, which checks that q is a
+    power of two and computes each period column (marginals, residues,
+    good flags) when it is first read, for one period of q/gcd(r, q) values
+    of c. No array of length q is allocated unless gcd(r, q) = 1, where the
+    period is the whole table.
     """
-    _require_power_of_two(q)
-    r = instance.r
-    a, b = divmod(q, r)
-    g = math.gcd(r, q)
-
-    # The marginal depends on c only through |{r c}_q|, a multiple of g in
-    # [0, q/2], so the kernel is evaluated once per such magnitude. This
-    # runs before the period arrays exist, so its temporaries do not add
-    # to theirs.
-    per_t = np.empty(q // (2 * g) + 1)
-    # Peaks: rc = 0 (mod q), every class contributes (m_k/q)^2.
-    per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
-    t = np.arange(g, q // 2 + 1, g)
-    # Both class sizes in one call, so the denominator is computed once.
-    hi, lo = _kernel(np.array([[a + 1], [a]], np.int64), t, q, np.sin)
-    per_t[1:] = (b * hi + (r - b) * lo) / q**2
-    del t, hi, lo
-
-    signed = _signed_residues(r, q)
-    abs_t = np.abs(signed)
-    good = abs_t <= r // 2
-    # g divides the power of two q, so |t| / g is a shift, done in place.
-    abs_t >>= g.bit_length() - 1
-
-    marginals = per_t[abs_t]
-    for arr in (marginals, signed, good):
-        arr.setflags(write=False)
-    return SpectrumTable(
-        q=q, r=r, period_marginals=marginals, period_residues=signed,
-        period_flags=good,
-    )
+    return SpectrumTable(q=q, r=instance.r)
 
 
 def good_c_set(r: int, q: int) -> set[int]:
@@ -355,11 +375,9 @@ def good_c_set(r: int, q: int) -> set[int]:
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    _require_power_of_two(q)
-    period = _signed_residues(r, q)
-    p = len(period)
-    good = np.flatnonzero(np.abs(period) <= r // 2)
-    return set(_all_copies(good, p, q // p).tolist())
+    flags = SpectrumTable(q=q, r=r).period_flags
+    p = len(flags)
+    return set(_all_copies(np.flatnonzero(flags), p, q // p).tolist())
 
 
 def integral_term(theta: float, r: int) -> float:

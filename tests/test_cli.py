@@ -531,3 +531,35 @@ def test_no_command_tiles_the_period(argv, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) in (0, 2)
     assert out.getvalue()
+
+
+def _stdout_without_column(argv, column, monkeypatch):
+    """stdout of ``main(argv)`` while reading ``column`` of a table raises."""
+    with contextlib.redirect_stdout(io.StringIO()) as expected:
+        assert main(argv) == 0
+
+    def refuse(table):
+        raise AssertionError(f"{column} was computed")
+
+    monkeypatch.setattr(SpectrumTable, column, property(refuse))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    assert out.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bounds", "--n", "221", "--x", "2"],
+    ["audit", "--n", "221", "--s", "16", "--reg2", "8", "--x", "2"],
+], ids=" ".join)
+def test_verify_bounds_reads_no_marginals(argv, monkeypatch):
+    # the bound check visits the good c of one period through their
+    # residues and flags, so the kernel and the marginals are never computed
+    _stdout_without_column(argv, "period_marginals", monkeypatch)
+
+
+def test_simulate_reads_no_flags(monkeypatch):
+    # sampling needs the marginals, gathered by residue, and never the flags
+    _stdout_without_column(
+        ["simulate", "--n", "221", "--x", "2", "--trials", "50"],
+        "period_flags", monkeypatch,
+    )

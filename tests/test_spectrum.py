@@ -7,6 +7,7 @@ a mismatch here.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from shorsim import (
     FactoringInstance,
     NotAUnitError,
+    SpectrumTable,
     build_spectrum,
     good_c_set,
     integral_term,
@@ -358,6 +360,34 @@ def test_good_c_set_equals_full_length_flags():
         flags = full_length_spectrum(r, q)[2]
         assert good_c_set(r, q) == set(np.flatnonzero(flags).tolist()), (
             r, q)
+
+
+COLUMNS = ("period_marginals", "period_residues", "period_flags")
+
+
+# g = 1 (r = 3, 195), r | q (r = 4), and g = 8 and 16 with r not dividing q
+@pytest.mark.parametrize("r,q", [
+    (3, 256), (195, 4096), (4, 256), (24, 1024), (48, 4096),
+])
+def test_period_columns_are_computed_on_first_read(r, q):
+    table = build_spectrum(instance_of_order(r), q)
+    assert not set(COLUMNS) & set(vars(table))
+    # each reference column is read from its own fresh table
+    expected = {name: getattr(SpectrumTable(q=q, r=r), name)
+                for name in COLUMNS}
+    for order in itertools.permutations(COLUMNS):
+        table = build_spectrum(instance_of_order(r), q)
+        for name in order:
+            column = getattr(table, name)
+            assert column.dtype == expected[name].dtype, (name, order)
+            assert column.tobytes() == expected[name].tobytes(), (name, order)
+            assert getattr(table, name) is column, (name, order)
+            assert not column.flags.writeable, (name, order)
+
+
+def test_spectrum_table_requires_a_power_of_two_q():
+    with pytest.raises(ValueError, match="q must be a power of two"):
+        SpectrumTable(q=12, r=3)
 
 
 def test_cumulative_at_support_equals_support_cumsum():
