@@ -17,13 +17,17 @@ A measured c is called *good* when its centered residue satisfies
 fraction d/r, which is what the continued-fraction step needs.
 
 With g = gcd(r, q), the residue r c mod q is a multiple of g and repeats
-with period q/g in c, so residues, flags and marginals are computed and
-stored for one period only, and every c reads its row at c mod q/g; the
-kernel is needed only at the q/(2g) + 1 magnitudes |t| in
-{0, g, 2g, ..., q/2}. The r | q case, whose support is the multiples of
-q/r, is the extreme of this structure. Each of the three period columns
-is computed when it is first read, so a caller that needs only the good
-c (``verify_bounds``) never evaluates the kernel.
+with period p = q/g in c, so residues, flags and marginals are computed
+and stored for one period only, and every c reads its row at c mod p.
+Row c and row p - c share one magnitude |{r c}_q| = g min(u, p - u), with
+u = (r/g) c mod p, and over c in [0, p/2] it runs through each of the
+p/2 + 1 values {0, g, 2g, ..., q/2} once. So the kernel is evaluated once
+per magnitude, in cache-sized chunks of rows, and the other half of the
+period is a mirror copy. The r | q case, whose support is the multiples of
+q/r, is the extreme of this structure. The r good rows of a period solve
+(r/g) c = u (mod p) for |u| g <= r/2, so they cost O(r), not O(p). Each
+period column is computed when it is first read, so a caller that needs
+only the good c (``verify_bounds``) never evaluates the kernel.
 """
 
 import math
@@ -33,6 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from . import numtheory as nt
+
+# Rows per kernel evaluation: a chunk's temporaries stay in the L2 cache.
+_CHUNK = 1 << 14
 
 
 def _require_power_of_two(q: int) -> None:
@@ -93,12 +100,13 @@ class FactoringInstance:
 def _kernel(m, abs_t, q: int, sin=math.sin):
     """|sum_{b<m} exp(2 pi i b t / q)|^2 for a centered residue t != 0.
 
-    Reduces m*|t| mod q before taking the sine so that exact cancellations
-    (m*t a multiple of q) produce exactly 0.0. Scalars go through
-    ``math.sin``; pass ``sin=np.sin`` to evaluate a whole residue array,
-    and a column of class sizes as ``m`` to share the denominator.
+    q is a power of two, so m*|t| mod q is the mask m*|t| & (q - 1); it is
+    reduced before taking the sine so that exact cancellations (m*t a
+    multiple of q) produce exactly 0.0. Scalars go through ``math.sin``;
+    pass ``sin=np.sin`` to evaluate a whole residue array, and a column of
+    class sizes as ``m`` to share the denominator.
     """
-    num = sin(math.pi * (m * abs_t % q) / q) ** 2
+    num = sin(math.pi * (m * abs_t & q - 1) / q) ** 2
     return num / sin(math.pi * abs_t / q) ** 2
 
 
@@ -151,26 +159,29 @@ class SpectrumTable:
 
     The fields are (q, r) alone, and q must be a power of two. Every per-c
     quantity repeats with period p = q/gcd(r, q) in c, so the table holds
-    c in [0, p) only, and c in [0, q) reads row c mod p. Its three period
+    c in [0, p) only, and c in [0, q) reads row c mod p. Its period
     columns are computed when first read and kept read-only:
-    ``period_marginals[c]`` sums the joint probability over all k;
-    ``period_residues[c]`` is {r c}_q in (-q/2, q/2]; ``period_flags[c]``
-    marks |{r c}_q| <= r/2. A caller pays only for the columns it reads.
-    ``marginals``, ``signed_residues`` and ``good_flags`` are the same
-    arrays over all q values of c, tiled on first access (for
+    ``period_marginals[c]`` sums the joint probability over all k, built
+    chunk by chunk over rows [1, p/2] and mirrored onto (p/2, p);
+    ``period_residues[c]`` is {r c}_q in (-q/2, q/2]; ``good_rows`` lists
+    the rows with |{r c}_q| <= r/2, found in O(r) without the residues,
+    and ``period_flags`` marks them. A caller pays only for the columns it
+    reads. ``marginals``, ``signed_residues`` and ``good_flags`` are the
+    same arrays over all q values of c, tiled on first access (for
     gcd(r, q) = 1 they are the period arrays themselves).
     ``inverse_cdf`` maps uniform draws, two floats or two arrays of them,
     to measurements (c and the range k is drawn from) by inverse-CDF
     sampling over ``cumulative``, the running sum of the period marginals,
-    computed on first use, with u = 1.0 moved down to 1 - 2^-53 as its
-    one top-of-range rule. The two k-group weights of each period row it
-    reaches are memoised by ``_group_weights`` in a ``_k_weights`` dict in
-    the instance's ``__dict__``. ``sample`` draws one (c, k) from a
-    Generator through it, and ``pipeline.run_trials`` computes a block of
-    trials' uniforms at once and maps them with one call. The arrays are
-    frozen, and every lazily filled column and cache is a function of
-    (q, r) alone, so threads sharing a table at worst compute a column or
-    fill an entry twice, with identical bytes.
+    computed on first use in a buffer of its own (a sampling table keeps
+    one p-long array and no marginals), with u = 1.0 moved down to
+    1 - 2^-53 as its one top-of-range rule. The two k-group weights of
+    each period row it reaches are memoised by ``_group_weights`` in a
+    ``_k_weights`` dict in the instance's ``__dict__``. ``sample`` draws
+    one (c, k) from a Generator through it, and ``pipeline.run_trials``
+    computes a block of trials' uniforms at once and maps them with one
+    call. The arrays are frozen, and every lazily filled column and cache
+    is a function of (q, r) alone, so threads sharing a table at worst
+    compute a column or fill an entry twice, with identical bytes.
     """
 
     q: int
@@ -185,41 +196,60 @@ class SpectrumTable:
         return _read_only(_signed_residues(self.r, self.q))
 
     @cached_property
-    def period_flags(self) -> np.ndarray:
-        """|{r c}_q| <= r/2 for c in [0, p)."""
-        return _read_only(np.abs(self.period_residues) <= self.r // 2)
+    def good_rows(self) -> np.ndarray:
+        """The rows c in [0, p) with |{r c}_q| <= r/2, ascending.
+
+        With g = gcd(r, q), {r c}_q = g u for u = (r/g) c mod p, and r/g is
+        odd, so each u with |u| <= (r // 2) // g is the row
+        u (r/g)^-1 mod p; u = +-p/2 give the same row.
+        """
+        q, r = self.q, self.r
+        g = math.gcd(r, q)
+        p = q // g
+        reach = min(r // 2 // g, p // 2)
+        u = np.arange(-reach, reach + 1, dtype=np.int64)
+        # p is a power of two, so & (p - 1) reduces negative u mod p too.
+        return _read_only(np.unique(u * pow(r // g, -1, p) & p - 1))
 
     @cached_property
-    def period_marginals(self) -> np.ndarray:
-        """Marginal probability of c in [0, p), summed over k.
+    def period_flags(self) -> np.ndarray:
+        """|{r c}_q| <= r/2 for c in [0, p)."""
+        flags = np.zeros(self.q // math.gcd(self.r, self.q), dtype=bool)
+        flags[self.good_rows] = True
+        return _read_only(flags)
+
+    def _marginals(self) -> np.ndarray:
+        """A new array of the marginal probability of c in [0, p).
 
         The joint probability depends on k only through m_k, which takes at
         most two values A and A+1 with multiplicities r - B and B
         (q = A*r + B), so the k-sum collapses to a two-term combination of
-        kernel values, evaluated at the q/(2g) + 1 residue magnitudes
-        0, g, ..., q/2 and gathered by each c's |{r c}_q|.
+        kernel values at |{r c}_q| = g min(u, p - u), u = (r/g) c mod p.
+        Rows c in [1, p/2] reach each magnitude g, 2g, ..., q/2 once, so
+        the kernel runs there, ``_CHUNK`` rows at a time, and row p - c
+        copies row c.
         """
         q, r = self.q, self.r
         a, b = divmod(q, r)
         g = math.gcd(r, q)
-
-        # The marginal depends on c only through |{r c}_q|, a multiple of g
-        # in [0, q/2], so the kernel is evaluated once per such magnitude.
-        # Read first, as sampling reads it, this runs before the residues
-        # exist, so its temporaries do not add to theirs.
-        per_t = np.empty(q // (2 * g) + 1)
-        # Peaks: rc = 0 (mod q), every class contributes (m_k/q)^2.
-        per_t[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
-        t = np.arange(g, q // 2 + 1, g)
+        p, half = q // g, q // g // 2
+        out = np.empty(p)
+        # Peak: rc = 0 (mod q), every class contributes (m_k/q)^2.
+        out[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
         # Both class sizes in one call, so the denominator is computed once.
-        hi, lo = _kernel(np.array([[a + 1], [a]], np.int64), t, q, np.sin)
-        per_t[1:] = (b * hi + (r - b) * lo) / q**2
-        del t, hi, lo
+        m = np.array([[a + 1], [a]], np.int64)
+        for start in range(1, half + 1, _CHUNK):
+            c = np.arange(start, min(start + _CHUNK, half + 1))
+            u = r // g * c & p - 1
+            hi, lo = _kernel(m, g * np.minimum(u, p - u), q, np.sin)
+            out[start:start + len(c)] = (b * hi + (r - b) * lo) / q**2
+        out[half + 1:] = out[1:half][::-1]
+        return out
 
-        abs_t = np.abs(self.period_residues)
-        # g divides the power of two q, so |t| / g is a shift, done in place.
-        abs_t >>= g.bit_length() - 1
-        return _read_only(per_t[abs_t])
+    @cached_property
+    def period_marginals(self) -> np.ndarray:
+        """Marginal probability of c in [0, p), summed over k."""
+        return _read_only(self._marginals())
 
     def joint(self, c: int, k: int) -> float:
         """Joint probability P(c, k) recomputed from the closed form."""
@@ -345,11 +375,13 @@ class SpectrumTable:
     def cumulative(self) -> np.ndarray:
         """Running sum of the period marginals, for inverse-CDF sampling.
 
-        Zero marginals add +0.0, which leaves a float sum unchanged, so its
-        values at the period's support equal the cumulative sum over that
-        support.
+        Summed in place over a new marginal array, so the table keeps no
+        ``period_marginals`` for it. Zero marginals add +0.0, which leaves
+        a float sum unchanged, so its values at the period's support equal
+        the cumulative sum over that support.
         """
-        return np.cumsum(self.period_marginals)
+        running = self._marginals()
+        return _read_only(np.cumsum(running, out=running))
 
 
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:
@@ -375,9 +407,9 @@ def good_c_set(r: int, q: int) -> set[int]:
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    flags = SpectrumTable(q=q, r=r).period_flags
-    p = len(flags)
-    return set(_all_copies(np.flatnonzero(flags), p, q // p).tolist())
+    rows = SpectrumTable(q=q, r=r).good_rows
+    copies = math.gcd(r, q)
+    return set(_all_copies(rows, q // copies, copies).tolist())
 
 
 def integral_term(theta: float, r: int) -> float:
@@ -434,8 +466,8 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
     max_gap = 0.0
     # P(c, k) depends on c only through |{r c}_q|, which repeats with the
     # period, so the good c of one period reach every value.
-    for c in np.flatnonzero(table.period_flags).tolist():
-        t = abs(int(table.period_residues[c]))
+    for c in table.good_rows.tolist():
+        t = abs(nt.signed_residue(r * c, q))
         approx = integral_term(t / r, r)
         min_integral = min(min_integral, approx)
         # P(c, k) depends on k only through m_k: A+1 for k < B, A for

@@ -512,6 +512,15 @@ def test_out_of_memory_is_a_one_line_usage_exit():
     assert res.stderr.count("\n") == 1, res.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_n10403_simulate_runs_in_512_mib_of_address_space():
+    # the 2^25-long period (q = 2^27, gcd(r, q) = 4) is kept once, as the
+    # cumulative marginals, and the kernel runs in chunks of rows
+    res = run_capped(512 << 20, "simulate", "--n", "10403", "--x", "2",
+                     "--trials", "2000")
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("argv", [
     *(["spectrum", "--n", "221", "--x", "2", "--format", f] for f in FORMATS),
     ["simulate", "--n", "221", "--x", "2", "--trials", "3"],
@@ -533,15 +542,16 @@ def test_no_command_tiles_the_period(argv, monkeypatch):
     assert out.getvalue()
 
 
-def _stdout_without_column(argv, column, monkeypatch):
-    """stdout of ``main(argv)`` while reading ``column`` of a table raises."""
+def _stdout_without_column(argv, columns, monkeypatch):
+    """stdout of ``main(argv)`` while reading any of ``columns`` raises."""
     with contextlib.redirect_stdout(io.StringIO()) as expected:
         assert main(argv) == 0
 
-    def refuse(table):
-        raise AssertionError(f"{column} was computed")
+    for column in columns.split():
+        def refuse(table, column=column):
+            raise AssertionError(f"{column} was computed")
 
-    monkeypatch.setattr(SpectrumTable, column, property(refuse))
+        monkeypatch.setattr(SpectrumTable, column, property(refuse))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0
     assert out.getvalue() == expected.getvalue()
@@ -552,14 +562,23 @@ def _stdout_without_column(argv, column, monkeypatch):
     ["audit", "--n", "221", "--s", "16", "--reg2", "8", "--x", "2"],
 ], ids=" ".join)
 def test_verify_bounds_reads_no_marginals(argv, monkeypatch):
-    # the bound check visits the good c of one period through their
-    # residues and flags, so the kernel and the marginals are never computed
+    # the bound check visits the good c of one period, so the kernel and
+    # the marginals are never computed
     _stdout_without_column(argv, "period_marginals", monkeypatch)
 
 
 def test_simulate_reads_no_flags(monkeypatch):
-    # sampling needs the marginals, gathered by residue, and never the flags
+    # sampling needs the cumulative marginals and never the flags
     _stdout_without_column(
         ["simulate", "--n", "221", "--x", "2", "--trials", "50"],
         "period_flags", monkeypatch,
+    )
+
+
+def test_verify_bounds_reads_no_period_column(monkeypatch):
+    # the good rows are solved for directly, so the bound check reads no
+    # residues or flags either
+    _stdout_without_column(
+        ["verify-bounds", "--n", "221", "--x", "2"],
+        "period_marginals period_residues period_flags", monkeypatch,
     )

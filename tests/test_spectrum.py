@@ -27,6 +27,7 @@ from shorsim import (
     verify_bounds,
 )
 from shorsim import numtheory as nt
+from shorsim import spectrum
 from shorsim.spectrum import _kernel
 
 # q <= 2^10 instances exercising r | q, r not dividing q, r = 2, and the
@@ -360,6 +361,83 @@ def test_good_c_set_equals_full_length_flags():
         flags = full_length_spectrum(r, q)[2]
         assert good_c_set(r, q) == set(np.flatnonzero(flags).tolist()), (
             r, q)
+
+
+# Half-periods of 2^15 and 2^16 rows: two and four whole chunks of the
+# default size, and 33 or 66 chunks with a ragged last one at 1000 rows
+@pytest.mark.parametrize("chunk", [spectrum._CHUNK, 1000])
+@pytest.mark.parametrize("r,q", [
+    (3, 1 << 16), (195, 1 << 16), (48, 1 << 20), (3, 1 << 17),
+])
+def test_chunked_marginals_equal_full_length_formula_bitwise(
+        r, q, chunk, monkeypatch):
+    monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+    table = SpectrumTable(q=q, r=r)
+    expected = full_length_spectrum(r, q)[0]
+    assert table.marginals.tobytes() == expected.tobytes()
+    running = SpectrumTable(q=q, r=r).cumulative
+    assert running.tobytes() == np.cumsum(table.period_marginals).tobytes()
+
+
+def test_cumulative_is_the_cumsum_of_the_marginals_bitwise():
+    for r, q in PERIOD_GRID:
+        for cumulative_first in (True, False):
+            table = SpectrumTable(q=q, r=r)
+            if cumulative_first:
+                running = table.cumulative
+            marginals = table.period_marginals
+            if not cumulative_first:
+                running = table.cumulative
+            expected = np.cumsum(marginals)
+            assert running.dtype == expected.dtype, (r, q)
+            assert running.tobytes() == expected.tobytes(), (r, q)
+
+
+def test_sampling_keeps_no_residues_or_marginals():
+    table = SpectrumTable(q=1 << 16, r=24)
+    table.inverse_cdf(np.linspace(0.0, 1.0, 101), np.full(101, 0.5))
+    assert "cumulative" in vars(table)
+    assert not {"period_residues", "period_marginals"} & set(vars(table))
+
+
+def test_good_rows_are_the_flagged_rows_of_one_period():
+    # PERIOD_GRID has p = 1 (r a multiple of q), p = 2 and r > q
+    for r, q in PERIOD_GRID + [(1, 1 << s) for s in range(1, 13)]:
+        rows = SpectrumTable(q=q, r=r).good_rows
+        p = q // math.gcd(r, q)
+        flags = full_length_spectrum(r, q)[2][:p]
+        assert rows.dtype == np.int64 and not rows.flags.writeable, (r, q)
+        assert rows.tolist() == np.flatnonzero(flags).tolist(), (r, q)
+
+
+def flag_scan_bounds(instance: FactoringInstance, q: int) -> dict:
+    """The loop fields of ``verify_bounds``, by scanning a period's flags.
+
+    Every row of one period whose residue satisfies |{r c}_q| <= r/2 is
+    visited, as the bound check did before it listed the good rows.
+    """
+    r = instance.r
+    residues = SpectrumTable(q=q, r=r).period_residues
+    p_min = min_integral = math.inf
+    max_gap = 0.0
+    for c in np.flatnonzero(np.abs(residues) <= r // 2).tolist():
+        approx = integral_term(abs(int(residues[c])) / r, r)
+        min_integral = min(min_integral, approx)
+        for k in {0, q % r}:
+            p = joint_probability(instance, q, c, k)
+            p_min = min(p_min, p)
+            max_gap = max(max_gap, abs(math.sqrt(p) - approx))
+    return {"p_min": p_min, "min_integral_term": min_integral,
+            "max_integral_gap": max_gap}
+
+
+def test_verify_bounds_equals_the_flag_scan():
+    cases = [(instance_of_order(r), q) for r, q in PERIOD_GRID]
+    for instance, q in cases + [(FactoringInstance.create(3233, 3), 1 << 24)]:
+        report = verify_bounds(instance, q)
+        expected = flag_scan_bounds(instance, q)
+        assert {k: getattr(report, k) for k in expected} == expected, (
+            instance.r, q)
 
 
 COLUMNS = ("period_marginals", "period_residues", "period_flags")
