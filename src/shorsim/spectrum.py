@@ -8,9 +8,12 @@ registers yields a pair (c, k) with probability
 where r is the order of the chosen base, k in [0, r) indexes the residue
 class observed in the work register, and m_k = floor((q - k - 1)/r) + 1
 counts the exponents a in [0, q) congruent to k mod r. The geometric sum
-collapses to a Dirichlet-kernel closed form, so a full distribution over c
-costs O(q) instead of O(q * r), and entries that cancel exactly come out as
-exact zeros rather than rounding dust.
+collapses to a Dirichlet-kernel closed form, and m_k takes only the class
+sizes A+1 (k < B) and A (k >= B), q = A*r + B, so a full distribution over
+c costs O(q) instead of O(q * r), and entries that cancel exactly come out
+as exact zeros rather than rounding dust. ``SpectrumTable.joint`` evaluates
+one pair (c, k), and ``SpectrumTable._class_kernels`` both class sizes at
+an array of rows, through the same kernel.
 
 A measured c is called *good* when its centered residue satisfies
 |{r c}_q| <= r/2: precisely those outcomes place c/q within 1/(2q) of a
@@ -40,11 +43,6 @@ from . import numtheory as nt
 
 # Rows per kernel evaluation: a chunk's temporaries stay in the L2 cache.
 _CHUNK = 1 << 14
-
-
-def _require_power_of_two(q: int) -> None:
-    if q < 2 or q & (q - 1):
-        raise ValueError(f"q must be a power of two >= 2, got {q}")
 
 
 def _require_instance_range(n: int, x: int) -> None:
@@ -110,19 +108,6 @@ def _kernel(m, abs_t, q: int, sin=math.sin):
     return num / sin(math.pi * abs_t / q) ** 2
 
 
-def _joint(q: int, r: int, c: int, k: int) -> float:
-    """P(c, k) by the closed form; class k holds m_k exponents a < q."""
-    if not 0 <= k < r:
-        raise ValueError(f"k must be in [0, {r - 1}], got {k}")
-    if not 0 <= c < q:
-        raise ValueError(f"c must be in [0, {q - 1}], got {c}")
-    m = (q - k - 1) // r + 1
-    t = abs(nt.signed_residue(r * c, q))
-    if t == 0:
-        return (m / q) ** 2
-    return _kernel(m, t, q) / q**2
-
-
 def _signed_residues(r: int, q: int) -> np.ndarray:
     """{r c}_q in (-q/2, q/2] for c in one period [0, q / gcd(r, q))."""
     p = q // math.gcd(r, q)
@@ -142,10 +127,9 @@ def joint_probability(
     Evaluated through the closed form of the geometric sum:
     (1/q^2) * sin^2(pi m_k r c / q) / sin^2(pi r c / q) when rc is not a
     multiple of q, and (m_k / q)^2 otherwise. The overall phase of the sum
-    has magnitude 1 and is dropped.
+    has magnitude 1 and is dropped. q is checked first, then k, then c.
     """
-    _require_power_of_two(q)
-    return _joint(q, instance.r, c, k)
+    return SpectrumTable(q=q, r=instance.r).joint(c, k)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -162,7 +146,7 @@ class SpectrumTable:
     c in [0, p) only, and c in [0, q) reads row c mod p. Its period
     columns are computed when first read and kept read-only:
     ``period_marginals[c]`` sums the joint probability over all k, built
-    chunk by chunk over rows [1, p/2] and mirrored onto (p/2, p);
+    chunk by chunk over rows [0, p/2] and mirrored onto (p/2, p);
     ``period_residues[c]`` is {r c}_q in (-q/2, q/2]; ``good_rows`` lists
     the rows with |{r c}_q| <= r/2, found in O(r) without the residues,
     and ``period_flags`` marks them. A caller pays only for the columns it
@@ -174,21 +158,20 @@ class SpectrumTable:
     sampling over ``cumulative``, the running sum of the period marginals,
     computed on first use in a buffer of its own (a sampling table keeps
     one p-long array and no marginals), with u = 1.0 moved down to
-    1 - 2^-53 as its one top-of-range rule. The two k-group weights of
-    each period row it reaches are memoised by ``_group_weights`` in a
-    ``_k_weights`` dict in the instance's ``__dict__``. ``sample`` draws
-    one (c, k) from a Generator through it, and ``pipeline.run_trials``
-    computes a block of trials' uniforms at once and maps them with one
-    call. The arrays are frozen, and every lazily filled column and cache
-    is a function of (q, r) alone, so threads sharing a table at worst
-    compute a column or fill an entry twice, with identical bytes.
+    1 - 2^-53 as its one top-of-range rule. ``sample`` draws one (c, k)
+    from a Generator through it, and ``pipeline.run_trials`` computes a
+    block of trials' uniforms at once and maps them with one call. The
+    arrays are frozen, and every lazily computed column is a function of
+    (q, r) alone, so threads sharing a table at worst compute a column
+    twice, with identical bytes.
     """
 
     q: int
     r: int
 
     def __post_init__(self):
-        _require_power_of_two(self.q)
+        if self.q < 2 or self.q & (self.q - 1):
+            raise ValueError(f"q must be a power of two >= 2, got {self.q}")
 
     @cached_property
     def period_residues(self) -> np.ndarray:
@@ -201,11 +184,17 @@ class SpectrumTable:
 
         With g = gcd(r, q), {r c}_q = g u for u = (r/g) c mod p, and r/g is
         odd, so each u with |u| <= (r // 2) // g is the row
-        u (r/g)^-1 mod p; u = +-p/2 give the same row.
+        u (r/g)^-1 mod p; u = +-p/2 give the same row. A period longer
+        than 2^63 rows fits no int64 array and raises ValueError.
         """
         q, r = self.q, self.r
         g = math.gcd(r, q)
         p = q // g
+        if p > 1 << 63:
+            raise ValueError(
+                f"q = {q} gives a period of {p} rows, more than an int64 "
+                "array can hold"
+            )
         reach = min(r // 2 // g, p // 2)
         u = np.arange(-reach, reach + 1, dtype=np.int64)
         # p is a power of two, so & (p - 1) reduces negative u mod p too.
@@ -218,30 +207,43 @@ class SpectrumTable:
         flags[self.good_rows] = True
         return _read_only(flags)
 
+    def _class_kernels(self, rows: np.ndarray) -> np.ndarray:
+        """q^2 P(c, k < B) and q^2 P(c, k >= B) at period rows c, stacked.
+
+        m_k is A+1 for k < B and A for k >= B (q = A*r + B), and
+        |{r c}_q| = g min(u, p - u) with u = (r/g) c mod p. Both class sizes
+        share one kernel call, and a row with rc = 0 (mod q) takes m_k^2.
+        At large q the products wrap in int64; the masks by q - 1 and
+        p - 1 keep their exact low bits.
+        """
+        q, r = self.q, self.r
+        g = math.gcd(r, q)
+        p = q // g
+        u = r // g * rows & p - 1
+        abs_t = g * np.minimum(u, p - u)
+        m = np.array([[q // r + 1], [q // r]], np.int64)
+        # The t = 0 columns divide 0 by 0 and are overwritten.
+        with np.errstate(invalid="ignore"):
+            out = _kernel(m, abs_t, q, np.sin)
+        out[:, abs_t == 0] = np.square(m, dtype=float)
+        return out
+
     def _marginals(self) -> np.ndarray:
         """A new array of the marginal probability of c in [0, p).
 
-        The joint probability depends on k only through m_k, which takes at
-        most two values A and A+1 with multiplicities r - B and B
-        (q = A*r + B), so the k-sum collapses to a two-term combination of
-        kernel values at |{r c}_q| = g min(u, p - u), u = (r/g) c mod p.
-        Rows c in [1, p/2] reach each magnitude g, 2g, ..., q/2 once, so
-        the kernel runs there, ``_CHUNK`` rows at a time, and row p - c
-        copies row c.
+        The k-sum collapses to the two ``_class_kernels`` terms, weighted by
+        their multiplicities B and r - B. Rows c in [0, p/2] reach each
+        magnitude 0, g, ..., q/2 once, so the kernel runs there, ``_CHUNK``
+        rows at a time, and row p - c copies row c.
         """
         q, r = self.q, self.r
-        a, b = divmod(q, r)
-        g = math.gcd(r, q)
-        p, half = q // g, q // g // 2
+        b = q % r
+        p = q // math.gcd(r, q)
+        half = p // 2
         out = np.empty(p)
-        # Peak: rc = 0 (mod q), every class contributes (m_k/q)^2.
-        out[0] = float(b * (a + 1) ** 2 + (r - b) * a * a) / q**2
-        # Both class sizes in one call, so the denominator is computed once.
-        m = np.array([[a + 1], [a]], np.int64)
-        for start in range(1, half + 1, _CHUNK):
+        for start in range(0, half + 1, _CHUNK):
             c = np.arange(start, min(start + _CHUNK, half + 1))
-            u = r // g * c & p - 1
-            hi, lo = _kernel(m, g * np.minimum(u, p - u), q, np.sin)
+            hi, lo = self._class_kernels(c)
             out[start:start + len(c)] = (b * hi + (r - b) * lo) / q**2
         out[half + 1:] = out[1:half][::-1]
         return out
@@ -252,8 +254,17 @@ class SpectrumTable:
         return _read_only(self._marginals())
 
     def joint(self, c: int, k: int) -> float:
-        """Joint probability P(c, k) recomputed from the closed form."""
-        return _joint(self.q, self.r, c, k)
+        """P(c, k) by the closed form; class k holds m_k exponents a < q."""
+        q, r = self.q, self.r
+        if not 0 <= k < r:
+            raise ValueError(f"k must be in [0, {r - 1}], got {k}")
+        if not 0 <= c < q:
+            raise ValueError(f"c must be in [0, {q - 1}], got {c}")
+        m = (q - k - 1) // r + 1
+        t = abs(nt.signed_residue(r * c, q))
+        if t == 0:
+            return (m / q) ** 2
+        return _kernel(m, t, q) / q**2
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         """Draw (c, k) with probability P(c, k).
@@ -285,9 +296,11 @@ class SpectrumTable:
         c, the k-conditional depends only on the class size m_k, which takes
         the two values A+1 (classes k < B) and A (classes k >= B) where
         q = A*r + B; so v picks a class-size group with the appropriate
-        weight, which ``_group_weights`` computes once per period row and
-        keeps in the table's ``_k_weights`` dict. With B = 0 the high group
-        [0, B) is empty, so k is drawn from [0, r).
+        weight. Arrays take the two weights from ``_class_kernels`` and a
+        single draw from two ``joint`` calls, which keeps the scalar path a
+        closed-form reference for the array path; nothing is cached per
+        row. With B = 0 the high group [0, B) is empty, so k is drawn from
+        [0, r).
         """
         cum = self.cumulative
         p = len(cum)
@@ -303,32 +316,14 @@ class SpectrumTable:
 
         r = self.r
         b = self.q % r
-        group_hi, total = self._group_weights(rows)
-        high = v * total < group_hi
+        if isinstance(rows, np.ndarray):
+            hi, lo = self._class_kernels(rows)
+        else:
+            hi, lo = self.joint(int(rows), 0), self.joint(int(rows), b)
+        # Scaling both sides by q^2, a power of two, decides alike.
+        high = v * (b * hi + (r - b) * lo) < b * hi
         # A high draw takes k from [0, B), any other from [B, r).
         return c, b - b * high, r - (r - b) * high
-
-    def _group_weights(self, rows) -> tuple:
-        """(B P(j, 0), B P(j, 0) + (r - B) P(j, B)) for period rows j.
-
-        ``rows`` is one row or an array of them, and the two weights come
-        back in the same form. P(c, k) depends on c only through its period
-        row, so every copy of row j shares the weights ``inverse_cdf``
-        picks the k group by. Each row's pair is computed on first use and
-        kept in the table's ``_k_weights`` dict.
-        """
-        memo = vars(self).setdefault("_k_weights", {})
-        scalar = not isinstance(rows, np.ndarray)
-        distinct = [int(rows)] if scalar else sorted(set(rows.tolist()))
-        for j in distinct:
-            if j not in memo:
-                r, b = self.r, self.q % self.r
-                group_hi = b * self.joint(j, 0)
-                memo[j] = (group_hi, group_hi + (r - b) * self.joint(j, b))
-        if scalar:
-            return memo[distinct[0]]
-        weights = np.array([memo[j] for j in distinct])
-        return tuple(weights[np.searchsorted(distinct, rows)].T)
 
     def rows(self):
         """(c, marginal_probability, signed_residue, good_flag) over [0, q).
@@ -473,7 +468,7 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
         # P(c, k) depends on k only through m_k: A+1 for k < B, A for
         # k >= B, so k = 0 and k = B cover both (q = A*r + B).
         for k in {0, q % r}:
-            p = _joint(q, r, c, k)
+            p = table.joint(c, k)
             p_min = min(p_min, p)
             max_gap = max(max_gap, abs(math.sqrt(p) - approx))
 

@@ -232,6 +232,28 @@ def test_audit_rejects_base_one_at_single_qubit_width():
     assert "base must be in [2, 14], got 1" in result.stderr
 
 
+@pytest.mark.parametrize("s", ["66", "200"])
+def test_audit_base_at_a_period_past_int64_is_a_one_line_error(s):
+    # r = 4 at q = 2^66 leaves a period of 2^64 rows, which no int64 array
+    # holds; the bound check refuses before any int64 arithmetic
+    result = run_cli("audit", "--n", "15", "--s", s, "--reg2", "4",
+                     "--x", "7")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("shorsim: error: q = ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+def test_audit_base_at_a_2_pow_63_row_period_runs():
+    # q = 2^65 with r = 4: the period has 2^63 rows and its good rows fit
+    result = run_cli("audit", "--n", "15", "--s", "65", "--reg2", "4",
+                     "--x", "7")
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "3937aec7534cdbe1d340ef4010520ba6a3f29542846e4488272932ea57a6cc8d"
+    )
+
+
 def test_spectrum_default_q():
     result = run_cli("spectrum", "--n", "15", "--x", "7",
                      "--format", "delimited-table")

@@ -25,7 +25,6 @@ from shorsim import (
 )
 from shorsim import pipeline
 from shorsim.pipeline import recover_order, validate_modulus
-from shorsim.spectrum import _joint
 
 
 def test_choose_q_examples():
@@ -245,34 +244,20 @@ def test_inverse_cdf_matches_two_clamp_reference_bitwise(n, x, q):
         assert [(type(a), a) for a in got] == [(type(b), b) for b in want], u_i
 
 
-def test_group_weights_memo_runs_joint_twice_per_distinct_row(monkeypatch):
-    calls = Counter()
-    joint = SpectrumTable.joint
-
-    def counting(self, c, k):
-        calls[c] += 1
-        return joint(self, c, k)
-
-    monkeypatch.setattr(SpectrumTable, "joint", counting)
-    # q % r = 2, so both k groups carry weight.
+def test_inverse_cdf_on_arrays_calls_no_joint(monkeypatch):
+    # q % r = 2, so both k groups carry weight; arrays take the group
+    # weights from the class kernels, never from the scalar closed form
     table = build_spectrum(FactoringInstance.create(21, 2), 512)
-    p = len(table.period_marginals)
-    c, _, _ = table.inverse_cdf(0.3, 0.5)
-    row = int(c) % p
-    assert calls == {row: 2}
-    u = np.concatenate([[0.3], np.random.default_rng(5).random(500)])
-    c_v, _, _ = table.inverse_cdf(u, np.full(len(u), 0.5))
-    rows = c_v % p
-    assert rows[0] == row and len(set(rows.tolist())) > 1
-    assert calls == {j: 2 for j in rows.tolist()}
-    hi_scalar, total_scalar = table._group_weights(np.intp(row))
-    hi_array, total_array = table._group_weights(rows)
-    assert calls == {j: 2 for j in rows.tolist()}
-    assert (hi_scalar, total_scalar) == (hi_array[0], total_array[0])
-    r, b = table.r, 512 % table.r
-    group_hi = b * _joint(512, r, row, 0)
-    assert hi_scalar == group_hi
-    assert total_scalar == group_hi + (r - b) * _joint(512, r, row, b)
+    rng = np.random.default_rng(5)
+    u, v = rng.random(10**4), rng.random(10**4)
+    want = two_clamp_inverse_cdf(table, u, v)
+
+    def refuse(self, c, k):
+        raise AssertionError("joint called on the array path")
+
+    monkeypatch.setattr(SpectrumTable, "joint", refuse)
+    for a, b in zip(table.inverse_cdf(u, v), want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_recover_order_examples():

@@ -398,6 +398,73 @@ def test_sampling_keeps_no_residues_or_marginals():
     table.inverse_cdf(np.linspace(0.0, 1.0, 101), np.full(101, 0.5))
     assert "cumulative" in vars(table)
     assert not {"period_residues", "period_marginals"} & set(vars(table))
+    # nor any per-row state: the k-group weights are recomputed per call
+    table.inverse_cdf(0.3, 0.5)
+    assert set(vars(table)) == {"q", "r", "cumulative"}
+
+
+def _within_two_ulp(got: np.ndarray, want: np.ndarray) -> bool:
+    return bool((np.abs(got - want) <= 2 * np.spacing(want)).all())
+
+
+def _edge_rows(p: int, rng, count: int) -> np.ndarray:
+    """Row 0, the rows around p/2, the last row and ``count`` random rows."""
+    edges = [0, 1, p // 2 - 1, p // 2, p // 2 + 1, p - 1]
+    rows = {c for c in edges if 0 <= c < p}
+    rows.update(rng.integers(0, p, count).tolist())
+    return np.array(sorted(rows), dtype=np.int64)
+
+
+def _joint_pairs(table: SpectrumTable, rows) -> np.ndarray:
+    """q^2 (P(c, 0), P(c, B)) for each row c, from the scalar closed form."""
+    b = table.q % table.r
+    return np.array([[table.joint(c, 0) * table.q**2 for c in rows],
+                     [table.joint(c, b) * table.q**2 for c in rows]])
+
+
+def test_class_kernels_equal_the_scalar_joint_over_the_period_grid():
+    # PERIOD_GRID has p = 1 (r a multiple of q), p = 2 and r > q; with
+    # B = 0 no class has size A+1, so only the A column is checked
+    rng = np.random.default_rng(21)
+    for r, q in PERIOD_GRID:
+        table = SpectrumTable(q=q, r=r)
+        p = q // math.gcd(r, q)
+        rows = np.arange(p) if p <= 64 else _edge_rows(p, rng, 50)
+        got = table._class_kernels(rows)
+        want = _joint_pairs(table, rows.tolist())
+        assert got.shape == (2, len(rows)) and got.dtype == np.float64
+        checked = slice(None) if q % r else slice(1, None)
+        assert _within_two_ulp(got[checked], want[checked]), (r, q)
+
+
+# r = 3 (g = 1), r = 24 (g = 8) and r = 260 (g = 4): the products m |t| and
+# (r/g) c pass 2^63 and wrap in int64, and the mask by q - 1 or p - 1 keeps
+# their exact low bits
+@pytest.mark.parametrize("q", [1 << 40, 1 << 60])
+@pytest.mark.parametrize("r", [3, 24, 260])
+def test_class_kernels_at_large_q_match_python_int_joint(r, q):
+    table = SpectrumTable(q=q, r=r)
+    rows = _edge_rows(q // math.gcd(r, q), np.random.default_rng(r), 300)
+    assert rows[0] == 0
+    assert _within_two_ulp(table._class_kernels(rows),
+                           _joint_pairs(table, rows.tolist()))
+
+
+@pytest.mark.parametrize("r", [3, 24, 260])
+def test_good_rows_at_q_2_pow_60_match_python_ints(r):
+    q = 1 << 60
+    g = math.gcd(r, q)
+    p = q // g
+    inverse = pow(r // g, -1, p)
+    reach = r // 2 // g
+    want = sorted({u * inverse % p for u in range(-reach, reach + 1)})
+    assert SpectrumTable(q=q, r=r).good_rows.tolist() == want
+
+
+def test_good_rows_refuse_a_period_past_int64():
+    # r = 4 at q = 2^66: a period of 2^64 rows
+    with pytest.raises(ValueError, match=f"q = {1 << 66} "):
+        good_c_set(4, 1 << 66)
 
 
 def test_good_rows_are_the_flagged_rows_of_one_period():
