@@ -4,9 +4,10 @@ The quantum part of the algorithm only influences the classical outcome
 through the measurement distribution P(c, k), which the spectrum module
 computes exactly; ``SpectrumTable.sample`` draws from it. This module
 strings the steps together the way a single run of the hardware would
-experience them: choose q = 2^s with n^2 <= q < 2 n^2, draw (c, k) from the
-table, round c/q to a nearby fraction d/r by continued fractions, verify
-the candidate order, and try to split n through gcd(x^(r/2) +- 1, n).
+experience them: choose q = 2^s with n^2 <= q < 2 n^2, draw (c, k) (from
+the table at q <= 2^16, bit by bit in the eigenbasis above it), round c/q
+to a nearby fraction d/r by continued fractions, verify the candidate
+order, and try to split n through gcd(x^(r/2) +- 1, n).
 
 Every trial is classified into exactly one terminal outcome: a factor pair,
 or one of six failure reasons. The taxonomy separates "the measurement was
@@ -352,13 +353,15 @@ def _unit(words: np.ndarray) -> np.ndarray:
 def _lemire32(words: np.ndarray, span: np.ndarray) -> tuple:
     """``Generator.integers(0, span)`` of each word's low 32 bits.
 
+    ``span`` is an int or an array of one span per word.
+
     NumPy draws an int64 below span <= 2^32 - 1 by Lemire's method on one
     32-bit output: the high word of low32 * span. Returns those draws and a
     mask of the draws it would not take as they stand: it rejects and
     draws again when the leftover low word falls below a threshold smaller
     than span, so a leftover below span is flagged.
     """
-    span = span.astype(np.uint64)
+    span = np.asarray(span, np.uint64)
     m = (words & _U32) * span
     return (m >> 32).astype(np.int64), (m & _U32) < span
 
@@ -367,18 +370,34 @@ def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
     """Lists of the c and k ``table.sample`` draws for ``count`` trials.
 
     Trial i samples with ``default_rng`` of master's spawned child number
-    n_children_spawned + start + i. Its first three PCG64 outputs are
-    computed for all trials at once and mapped as the Generator calls of
-    ``sample`` map them: one ``random()`` for c, a second for k's group
-    when q % r != 0, then ``integers`` on the next output. A trial whose k
-    draw numpy might reject is drawn again by ``sample`` from
-    ``default_rng`` of that child, built as ``SeedSequence.spawn`` builds
-    it.
+    n_children_spawned + start + i. Its first PCG64 outputs are computed
+    for all trials at once and mapped as the Generator calls of ``sample``
+    map them. At q <= 2^16: one ``random()`` for c, a second for k's group
+    when q % r != 0, then ``integers`` on the next output's low half. When
+    ``table.table_free`` (q = 2^s): ``integers(0, r)`` for j on output 0's
+    low half, ``random()`` of outputs 1..s for c's bits and of output
+    s + 1 for k's group, and ``integers`` for k on output 0's high half,
+    which PCG64 keeps for the next 32-bit draw. A trial whose j or k draw
+    numpy might reject is drawn again by ``sample`` from ``default_rng`` of
+    that child, built as ``SeedSequence.spawn`` builds it.
     """
-    words = _pcg64_words(*_pcg64_seeded(_child_seeds(master, start, count)), 3)
-    c, lo, hi = table.inverse_cdf(_unit(words[0]), _unit(words[1]))
-    k, redraw = _lemire32(words[1 + bool(table.q % table.r)], hi - lo)
+    seeded = _pcg64_seeded(_child_seeds(master, start, count))
+    if table.table_free:
+        s = table.q.bit_length() - 1
+        words = _pcg64_words(*seeded, s + 2)
+        j, redraw = _lemire32(words[0], table.r)
+        c, lo, hi = table.eigen_draw(
+            j, [_unit(w) for w in words[1:s + 1]], _unit(words[s + 1])
+        )
+        k_word = words[0] >> np.uint64(32)
+    else:
+        words = _pcg64_words(*seeded, 3)
+        c, lo, hi = table.inverse_cdf(_unit(words[0]), _unit(words[1]))
+        redraw = False
+        k_word = words[1 + bool(table.q % table.r)]
+    k, k_redraw = _lemire32(k_word, hi - lo)
     k += lo
+    redraw |= k_redraw
     first = master.n_children_spawned + start
     for i in np.flatnonzero(redraw).tolist():
         child = np.random.SeedSequence(
@@ -403,8 +422,12 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     ``default_rng(SeedSequence(seed).spawn(trials)[i])``. No Generator is
     built per trial: for each block of ``_BLOCK`` trials, the seeds, the
     PCG64 outputs and the numpy draws made from them are computed bit for
-    bit on arrays, and only a trial whose k draw numpy might reject is
-    drawn by ``table.sample`` itself. NumPy makes n_children_spawned
+    bit on arrays, and only a trial whose j or k draw numpy might reject
+    is drawn by ``table.sample`` itself. At q <= 2^16 the draws map through
+    ``table.inverse_cdf``; above it through ``table.eigen_draw``, bit by
+    bit, so no table is built, and a block costs O(s) per trial and
+    O(_BLOCK * s) memory (``_draws`` gives the stream layout of each
+    path). NumPy makes n_children_spawned
     read-only, so a SeedSequence master is not advanced: two calls with the
     same master return equal traces. NumPy counts spawned children in 32
     bits, so trials may not exceed 2^32 - 1 - n_children_spawned, which

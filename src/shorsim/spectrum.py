@@ -31,6 +31,20 @@ q/r, is the extreme of this structure. The r good rows of a period solve
 (r/g) c = u (mod p) for |u| g <= r/2, so they cost O(r), not O(p). Each
 period column is computed when it is first read, so a caller that needs
 only the good c (``verify_bounds``) never evaluates the kernel.
+
+Sampling above q = 2^16 reads no column at all. The work register starts
+in a uniform mix of the r eigenvectors of multiplication by x, with
+eigenphases j/r, and the marginal over c does not depend on the basis the
+work register is read in, so with q = 2^s
+
+    P(c) = (1/r) sum_{j<r} prod_{i<s} cos^2(pi 2^i (j/r - c/q)).
+
+This is the readout that recycles one control qubit for s rounds
+(Griffiths and Niu), seen in the eigenbasis. Given j, the factor that
+decides bit i of c depends only on the bits below it, so c is drawn
+exactly, least significant bit first, at O(s) cost per draw and with no
+table; the k of the draw is then taken given c, as the table path takes
+it.
 """
 
 import math
@@ -43,6 +57,10 @@ from . import numtheory as nt
 
 # Rows per kernel evaluation: a chunk's temporaries stay in the L2 cache.
 _CHUNK = 1 << 14
+
+# The widest q whose draws search ``cumulative``; above it, c is drawn bit by
+# bit in the eigenbasis (``SpectrumTable.table_free``).
+_TABLE_MAX_Q = 1 << 16
 
 
 def _require_instance_range(n: int, x: int) -> None:
@@ -158,12 +176,15 @@ class SpectrumTable:
     sampling over ``cumulative``, the running sum of the period marginals,
     computed on first use in a buffer of its own (a sampling table keeps
     one p-long array and no marginals), with u = 1.0 moved down to
-    1 - 2^-53 as its one top-of-range rule. ``sample`` draws one (c, k)
-    from a Generator through it, and ``pipeline.run_trials`` computes a
-    block of trials' uniforms at once and maps them with one call. The
-    arrays are frozen, and every lazily computed column is a function of
-    (q, r) alone, so threads sharing a table at worst compute a column
-    twice, with identical bytes.
+    1 - 2^-53 as its one top-of-range rule. When q > 2^16 (``table_free``),
+    draws go through ``eigen_draw`` instead, which maps an eigenphase index
+    and s uniforms to c bit by bit and reads no column, so a table that
+    has only sampled holds (q, r) alone. ``sample`` draws one (c, k) from
+    a Generator through one of the two, and ``pipeline.run_trials``
+    computes a block of trials' uniforms at once and maps them with one
+    call. The arrays are frozen, and every lazily computed column is a
+    function of (q, r) alone, so threads sharing a table at worst compute
+    a column twice, with identical bytes.
     """
 
     q: int
@@ -172,6 +193,11 @@ class SpectrumTable:
     def __post_init__(self):
         if self.q < 2 or self.q & (self.q - 1):
             raise ValueError(f"q must be a power of two >= 2, got {self.q}")
+
+    @property
+    def table_free(self) -> bool:
+        """Whether draws take c bit by bit in the eigenbasis: q > 2^16."""
+        return self.q > _TABLE_MAX_Q
 
     @cached_property
     def period_residues(self) -> np.ndarray:
@@ -210,6 +236,9 @@ class SpectrumTable:
     def _class_kernels(self, rows: np.ndarray) -> np.ndarray:
         """q^2 P(c, k < B) and q^2 P(c, k >= B) at period rows c, stacked.
 
+        Any c in [0, q) may stand for its row c mod p: only (r/g) c mod p
+        is read.
+
         m_k is A+1 for k < B and A for k >= B (q = A*r + B), and
         |{r c}_q| = g min(u, p - u) with u = (r/g) c mod p. Both class sizes
         share one kernel call, and a row with rc = 0 (mod q) takes m_k^2.
@@ -220,7 +249,9 @@ class SpectrumTable:
         g = math.gcd(r, q)
         p = q // g
         u = r // g * rows & p - 1
-        abs_t = g * np.minimum(u, p - u)
+        # -u & (p - 1) is p - u but at u = 0, where the minimum is 0 either
+        # way; it keeps p = 2^63 out of int64 arithmetic.
+        abs_t = g * np.minimum(u, -u & p - 1)
         m = np.array([[q // r + 1], [q // r]], np.int64)
         # The t = 0 columns divide 0 by 0 and are overwritten.
         with np.errstate(invalid="ignore"):
@@ -269,15 +300,77 @@ class SpectrumTable:
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         """Draw (c, k) with probability P(c, k).
 
-        One ``rng.random()`` selects c, a second selects k's class-size
-        group when there are two (q % r != 0), and ``rng.integers`` draws k
-        uniformly inside the group; ``inverse_cdf`` maps the two uniforms
-        as floats, building no array.
+        At q <= 2^16, one ``rng.random()`` selects c, a second selects k's
+        class-size group when there are two (q % r != 0), and
+        ``rng.integers`` draws k uniformly inside the group;
+        ``inverse_cdf`` maps the two uniforms as floats, building no array.
+        When ``table_free`` (q = 2^s > 2^16), the draws are, in order:
+        ``rng.integers(0, r)`` for the eigenphase index j, ``rng.random(s)``
+        for c's bits, ``rng.random()`` for k's group only if q % r != 0,
+        and ``rng.integers`` for k; ``eigen_draw`` maps them. On PCG64 the
+        j draw takes the low half of the first 64-bit output, and the k
+        draw the high half that the bit generator kept, not a new output.
         """
-        u = rng.random()
-        v = rng.random() if self.q % self.r else 0.0
-        c, lo, hi = map(int, self.inverse_cdf(u, v))
+        r = self.r
+        if self.table_free:
+            j = int(rng.integers(0, r))
+            u = rng.random(self.q.bit_length() - 1)
+            v = rng.random() if self.q % r else 0.0
+            c, lo, hi = map(int, self.eigen_draw(j, u, v))
+        else:
+            u = rng.random()
+            v = rng.random() if self.q % r else 0.0
+            c, lo, hi = map(int, self.inverse_cdf(u, v))
         return c, int(rng.integers(lo, hi))
+
+    def _phase(self, j, low, i):
+        """theta_i = (2^(s-1-i) j mod r)/r - low/2^(i+1) in (-1/2, 1/2].
+
+        q = 2^s. The first term is reduced exactly in integers before it
+        becomes a float, so for q <= 2^53 theta_i is within 2^-54 of its
+        exact value. ``j`` and ``low`` are ints, or int64 arrays of one
+        value per draw; for arrays, r^2 must stay below 2^63, as it does
+        for every instance ``choose_q`` sizes at q <= 2^63 (r < n).
+        """
+        s = self.q.bit_length() - 1
+        r = self.r
+        theta = pow(2, s - 1 - i, r) * j % r / r - low * 2.0 ** -(i + 1)
+        theta -= theta > 0.5
+        return theta
+
+    def bit_zero(self, j, low, i):
+        """P(bit i of c is 0 | eigenphase index j, c mod 2^i = low).
+
+        That is cos^2(pi theta_i), with theta_i from ``_phase``; bit i is 1
+        with probability sin^2(pi theta_i), so the two sum to 1.
+        """
+        return np.cos(np.pi * self._phase(j, low, i)) ** 2
+
+    def eigen_draw(self, j, u, v) -> tuple:
+        """Map an eigenphase index and uniforms to measured c and k's range.
+
+        ``j`` is an int in [0, r), ``u`` holds s uniforms in [0, 1) (q = 2^s)
+        and ``v`` one more; or ``j`` and ``v`` are arrays with one entry
+        per draw and ``u[i]`` is an array too. Returns (c, k_lo, k_hi) as
+        ``inverse_cdf`` does. Bit i of c, least significant first, is 1 when
+        u[i] >= ``bit_zero(j, c mod 2^i, i)``. Given j this draws c with
+        probability prod_{i<s} cos^2(pi 2^i (j/r - c/q)), so a uniform j
+        draws c with its marginal probability, exactly, at O(s) per draw
+        and with no table. k's group is then picked by v at c's period row,
+        by the rule ``inverse_cdf`` uses. c must fit in int64, so q above
+        2^63 raises ValueError.
+        """
+        q = self.q
+        if q > 1 << 63:
+            raise ValueError(
+                f"q = {q} is more than 2^63, so a measured c would not fit "
+                "in int64"
+            )
+        c = j * 0
+        for i in range(q.bit_length() - 1):
+            one = u[i] >= self.bit_zero(j, c, i)
+            c += one.astype(np.int64) << i
+        return (c, *self._k_range(c, v))
 
     def inverse_cdf(self, u, v) -> tuple:
         """Map uniforms in [0, 1) to measured c and the range k is drawn from.
@@ -296,11 +389,9 @@ class SpectrumTable:
         c, the k-conditional depends only on the class size m_k, which takes
         the two values A+1 (classes k < B) and A (classes k >= B) where
         q = A*r + B; so v picks a class-size group with the appropriate
-        weight. Arrays take the two weights from ``_class_kernels`` and a
-        single draw from two ``joint`` calls, which keeps the scalar path a
-        closed-form reference for the array path; nothing is cached per
-        row. With B = 0 the high group [0, B) is empty, so k is drawn from
-        [0, r).
+        weight, by ``_k_range``. ``sample`` and ``pipeline.run_trials``
+        draw through it at q <= 2^16 only; above that they draw through
+        ``eigen_draw`` and never build ``cumulative``.
         """
         cum = self.cumulative
         p = len(cum)
@@ -313,17 +404,30 @@ class SpectrumTable:
         rows = cum.searchsorted((scaled - copy) * cum[-1], "right")
         # np.int64 converts a float array to an int64 array.
         c = np.int64(copy) * p + rows
+        return (c, *self._k_range(rows, v))
 
+    def _k_range(self, c, v) -> tuple:
+        """The range [k_lo, k_hi) that k is drawn from, given c and v.
+
+        P(c, k) depends on k only through the class size m_k: A+1 for
+        k < B and A for k >= B (q = A*r + B). So v picks the group [0, B)
+        with its share of P(c), and k is uniform inside the group. ``c`` is
+        an int, or an int64 array read at its period rows; arrays take the
+        two weights from ``_class_kernels`` and an int from two ``joint``
+        calls, which keeps the scalar path a closed-form reference for the
+        array path, and nothing is cached per row. With B = 0 the group
+        [0, B) is empty, so k is drawn from [0, r).
+        """
         r = self.r
         b = self.q % r
-        if isinstance(rows, np.ndarray):
-            hi, lo = self._class_kernels(rows)
+        if isinstance(c, np.ndarray):
+            hi, lo = self._class_kernels(c)
         else:
-            hi, lo = self.joint(int(rows), 0), self.joint(int(rows), b)
+            hi, lo = self.joint(int(c), 0), self.joint(int(c), b)
         # Scaling both sides by q^2, a power of two, decides alike.
         high = v * (b * hi + (r - b) * lo) < b * hi
         # A high draw takes k from [0, B), any other from [B, r).
-        return c, b - b * high, r - (r - b) * high
+        return b - b * high, r - (r - b) * high
 
     def rows(self):
         """(c, marginal_probability, signed_residue, good_flag) over [0, q).

@@ -524,23 +524,24 @@ def test_n3233_runs_in_384_mib_of_address_space():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
 def test_out_of_memory_is_a_one_line_usage_exit():
-    # n = 10403, x = 2: r = 5100 and q = 2^27, so one period is 2^25 values
-    # of c, 256 MiB per float64 array, which 256 MiB of address space cannot
-    # hold beside the interpreter
-    res = run_capped(256 << 20, "simulate", "--n", "10403", "--x", "2",
-                     "--trials", "10")
+    # n = 10403, x = 2: r = 5100 and q = 2^27, so the dump's period is 2^25
+    # values of c, 256 MiB per float64 array, which 256 MiB of address
+    # space cannot hold beside the interpreter
+    res = run_capped(256 << 20, "spectrum", "--n", "10403", "--x", "2")
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("shorsim: error: out of memory: ")
     assert res.stderr.count("\n") == 1, res.stderr
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
-def test_n10403_simulate_runs_in_512_mib_of_address_space():
-    # the 2^25-long period (q = 2^27, gcd(r, q) = 4) is kept once, as the
-    # cumulative marginals, and the kernel runs in chunks of rows
-    res = run_capped(512 << 20, "simulate", "--n", "10403", "--x", "2",
+@pytest.mark.parametrize("n,x", [(3233, 3), (10403, 2), (1022117, 2)])
+def test_table_free_simulate_runs_in_128_mib_of_address_space(n, x):
+    # q = 2^24, 2^27 and 2^40: draws take O(trials) memory, where a period
+    # of the table would need 32 MiB, 256 MiB and 1 TiB
+    res = run_capped(128 << 20, "simulate", "--n", str(n), "--x", str(x),
                      "--trials", "2000")
     assert res.returncode == 0, res.stderr
+    assert "trials = 2000\n" in res.stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,6 +595,15 @@ def test_simulate_reads_no_flags(monkeypatch):
     _stdout_without_column(
         ["simulate", "--n", "221", "--x", "2", "--trials", "50"],
         "period_flags", monkeypatch,
+    )
+
+
+def test_table_free_simulate_reads_no_column(monkeypatch):
+    # q = 2^24 > 2^16: every draw is made bit by bit in the eigenbasis
+    _stdout_without_column(
+        ["simulate", "--n", "3233", "--x", "3", "--trials", "50"],
+        "period_marginals period_residues period_flags cumulative",
+        monkeypatch,
     )
 
 

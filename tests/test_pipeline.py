@@ -23,7 +23,7 @@ from shorsim import (
     run_trials,
     success_bound,
 )
-from shorsim import pipeline
+from shorsim import pipeline, spectrum
 from shorsim.pipeline import recover_order, validate_modulus
 
 
@@ -559,12 +559,62 @@ def test_run_trials_samples_only_flagged_trials(monkeypatch):
 def test_run_trials_redraws_a_rejected_k_exactly(monkeypatch):
     # Child 3 252 730 of SeedSequence(0) draws k for (851, 2) from a group
     # of 364 values; numpy rejects its first 32-bit output (leftover 180,
-    # below the threshold 2^32 mod 364 = 256) and draws again.
+    # below the threshold 2^32 mod 364 = 256) and draws again. That is the
+    # table path's stream, so the cut is moved to its q = 2^20.
+    monkeypatch.setattr(spectrum, "_TABLE_MAX_Q", 1 << 20)
     master = SS(0, n_children_spawned=3252730)
     want = _records(reference_run_trials(851, 2, 3, _copy(master)))
     calls = _count_samples(monkeypatch)
     assert _records(run_trials(851, 2, 3, master)) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,x", [(3233, 3), (10403, 2)])
+def test_table_free_run_trials_matches_reference_loop(n, x):
+    # q = 2^24 and 2^27: the block path draws j, the bits, k's group and k
+    # from each child's PCG64 outputs as ``sample`` draws them.
+    for seed in (0, 1729):
+        want = reference_run_trials(n, x, 150, seed)
+        assert _records(run_trials(n, x, 150, seed)) == _records(want)
+    child = SS(7).spawn(40)[33]
+    assert run_once(n, x, child).to_record() == _records(
+        run_trials(n, x, 40, 7))[33]
+
+
+# Child 16 843 767 of SeedSequence(0) draws j for (3233, 3) from r = 260
+# values, child 744 941 for (10403, 2) from r = 5100: numpy rejects the
+# first 32-bit output of each (leftover below 2^32 mod r) and draws again,
+# which moves every later draw of that trial.
+@pytest.mark.parametrize("n,x,child", [(3233, 3, 16843767),
+                                       (10403, 2, 744941)])
+def test_table_free_run_trials_redraws_a_rejected_j_exactly(
+    monkeypatch, n, x, child
+):
+    master = SS(0, n_children_spawned=child)
+    want = _records(reference_run_trials(n, x, 3, _copy(master)))
+    calls = _count_samples(monkeypatch)
+    assert _records(run_trials(n, x, 3, master)) == want
+    assert len(calls) == 1
+
+
+# r | q, q % r = 2 and 16, groups of one k (r = 33, r = 3), and
+# gcd(r, q) = 64.
+@pytest.mark.parametrize("n,x", [(15, 7), (21, 2), (221, 2), (161, 2),
+                                 (171, 7), (579, 5)])
+def test_forced_table_free_run_trials_matches_reference_loop(
+    monkeypatch, n, x
+):
+    # With the cut moved below q, the block path and ``sample`` both draw
+    # in the eigenbasis, and agree draw for draw, redrawn or not.
+    monkeypatch.setattr(spectrum, "_TABLE_MAX_Q", 1)
+    for seed in range(20):
+        want = _records(reference_run_trials(n, x, 30, seed))
+        assert _records(run_trials(n, x, 30, seed)) == want, seed
+    want = _records(reference_run_trials(n, x, 30, 0))
+    _flag_every_draw(monkeypatch)
+    calls = _count_samples(monkeypatch)
+    assert _records(run_trials(n, x, 30, 0)) == want
+    assert len(calls) == 30
 
 
 def test_run_trials_does_not_advance_seed_sequence():

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -561,9 +562,9 @@ def test_rows_equal_the_tiled_arrays():
 
 
 def test_table_paths_allocate_less_than_one_q_length_array():
-    # r = 48 at q = 2^20 gives gcd(r, q) = 16: the build, sampling and
-    # verify_bounds work on the 2^16-long period and never need an array
-    # of length q (8 q bytes as float64)
+    # r = 48 at q = 2^20 gives gcd(r, q) = 16: the build and verify_bounds
+    # work on the 2^16-long period, sampling above q = 2^16 reads no
+    # column, and none needs an array of length q (8 q bytes as float64)
     instance = FactoringInstance.create(221, 54)
     assert instance.r == 48
     q = 1 << 20
@@ -578,3 +579,180 @@ def test_table_paths_allocate_less_than_one_q_length_array():
     assert all(0 <= c < q for c, _ in draws)
     assert report.r == 48
     assert peak < 8 * q, peak
+
+
+
+def eigen_products(r: int, q: int, rows) -> np.ndarray:
+    """prod_{i<s} cos^2(pi 2^i (j/r - c/q)) for each j < r (row) and c in rows.
+
+    P(c | j) in the eigenbasis, q = 2^s, evaluated directly: each phase is
+    reduced mod 1 in integers first, as (2^i j mod r)/r - (2^i c mod q)/q.
+    The mean over j is the marginal of c.
+    """
+    s = q.bit_length() - 1
+    j = np.arange(r)[:, None]
+    c = np.asarray(rows, dtype=np.int64)[None, :]
+    product = np.ones((r, c.shape[1]))
+    for i in range(s):
+        phase = (j << i) % r / r - (c << i) % q / q
+        product *= np.cos(np.pi * phase) ** 2
+    return product
+
+
+def test_eigen_product_form_equals_the_period_marginals():
+    # Every row where r p is small, and otherwise the edge rows and 32
+    # random ones; (24, 2^16) is (221, 2) at choose_q, checked at every row.
+    rng = np.random.default_rng(11)
+    for r, q in PERIOD_GRID + [(24, 1 << 16)]:
+        table = SpectrumTable(q=q, r=r)
+        p = len(table.period_marginals)
+        rows = np.arange(p) if r * p <= 1 << 18 else _edge_rows(p, rng, 32)
+        got = eigen_products(r, q, rows).mean(axis=0)
+        want = table.period_marginals[rows]
+        assert np.abs(got - want).max() <= 1e-15, (r, q)
+
+
+def path_probabilities(table: SpectrumTable) -> np.ndarray:
+    """P(c | j) for every j < r and c < q, multiplied along each bit path.
+
+    Row j holds, for each c, the product over bits i of ``bit_zero`` at
+    c's lower bits where bit i of c is 0, and of its complement where it
+    is 1.
+    """
+    q, r = table.q, table.r
+    j = np.arange(r)[:, None]
+    c = np.arange(q)[None, :]
+    out = np.ones((r, q))
+    for i in range(q.bit_length() - 1):
+        zero = table.bit_zero(j, c & (1 << i) - 1, i)
+        out *= np.where(c >> i & 1, 1.0 - zero, zero)
+    return out
+
+
+# r | q, r not dividing q, r > q and q = 2
+@pytest.mark.parametrize("r,q", [
+    (3, 8), (4, 256), (6, 512), (10, 2048), (12, 1024), (24, 256), (5, 2),
+    (40, 16), (7, 128), (195, 256),
+])
+def test_bit_conditionals_multiply_to_the_marginals(r, q):
+    # Along every path of bits, the conditionals multiply to P(c | j): each
+    # j's row sums to 1 and equals the product form, and the mean over j
+    # is the marginal of every c.
+    table = SpectrumTable(q=q, r=r)
+    given_j = path_probabilities(table)
+    np.testing.assert_allclose(given_j.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        given_j, eigen_products(r, q, np.arange(q)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        given_j.mean(axis=0), table.marginals, rtol=0, atol=1e-15)
+
+
+def exact_phase(r: int, q: int, j: int, low: int, i: int) -> Fraction:
+    """theta_i in (-1/2, 1/2] as a Fraction, with q = 2^s."""
+    s = q.bit_length() - 1
+    theta = Fraction(pow(2, s - 1 - i, r) * j % r, r) - Fraction(
+        low, 1 << i + 1)
+    return theta - (theta > Fraction(1, 2))
+
+
+@pytest.mark.parametrize("r,s", [
+    (260, 24), (5100, 27), (11592, 40), (3, 40), (1000003, 40), (97, 33),
+    (24, 17), (255024, 40),
+])
+def test_float_phase_is_within_2_pow_minus_54_of_the_exact_phase(r, s):
+    # q <= 2^40: the first term is reduced in integers, so the float phase
+    # keeps the error of one division and one subtraction, at most 2^-54
+    # (half an ulp of 1/2); 2^(s-1-i) j / r taken in floats would be off by
+    # up to 2^(s-54). Scalars and arrays give the same bytes.
+    table = SpectrumTable(q=1 << s, r=r)
+    rng = np.random.default_rng(s * r)
+    i = rng.integers(0, s, 2000)
+    j = rng.integers(0, r, 2000)
+    low = rng.integers(0, 1 << 62, 2000) & (1 << i) - 1
+    floats = [table._phase(*args) for args in
+              zip(j.tolist(), low.tolist(), i.tolist())]
+    for got, args in zip(floats, zip(j.tolist(), low.tolist(), i.tolist())):
+        want = exact_phase(r, 1 << s, *args)
+        assert abs(Fraction(got) - want) <= Fraction(1, 1 << 54), args
+        assert -0.5 < got <= 0.5
+    for bit in range(s):
+        at = i == bit
+        got = table._phase(j[at], low[at], bit)
+        assert got.tobytes() == np.array(floats)[at].tobytes()
+
+
+@pytest.mark.parametrize("n,x,q", [(221, 2, 1 << 16), (21, 2, 512),
+                                   (15, 7, 256), (57, 7, 4096)])
+def test_forced_eigen_draws_match_the_table_by_chi_square(n, x, q,
+                                                          monkeypatch):
+    # With the cut moved below q, the eigenbasis draws of c are checked
+    # against the table's marginals: cells the table gives 0 are never
+    # drawn, and the others pass a chi-square test, cells expected below 5
+    # draws pooled into one.
+    monkeypatch.setattr(spectrum, "_TABLE_MAX_Q", 1)
+    table = build_spectrum(FactoringInstance.create(n, x), q)
+    assert table.table_free
+    rng = np.random.default_rng(q + n)
+    draws = 2 * 10**5
+    u = rng.random((q.bit_length() - 1, draws))
+    c = table.eigen_draw(rng.integers(0, table.r, draws), u,
+                         rng.random(draws))[0]
+    counts = np.bincount(c, minlength=q)
+    expected = draws * table.marginals
+    assert not counts[expected == 0].any()
+    small = (expected > 0) & (expected < 5)
+    observed = np.append(counts[expected >= 5], counts[small].sum())
+    expected = np.append(expected[expected >= 5], expected[small].sum())
+    if not small.any():
+        observed, expected = observed[:-1], expected[:-1]
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    dof = len(expected) - 1
+    assert abs(chi2 - dof) / math.sqrt(2 * dof) < 4, (chi2, dof)
+
+
+# q % r: 2^24 mod 260 = 196, 0, 2^27 mod 5100 = 3728, and 2^17 mod 3 = 2.
+@pytest.mark.parametrize("q,r", [(1 << 24, 260), (1 << 20, 8),
+                                 (1 << 27, 5100), (1 << 17, 3)])
+def test_table_free_sample_reads_the_documented_stream(q, r):
+    # integers(0, r) for j, random(s) for the bits, random() for k's group
+    # only when q % r != 0, then integers for k; nothing else is read.
+    table = SpectrumTable(q=q, r=r)
+    assert table.table_free
+    s = q.bit_length() - 1
+    for seed in range(20):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        c, k = table.sample(rng)
+        j = int(twin.integers(0, r))
+        u = twin.random(s)
+        v = twin.random() if q % r else 0.0
+        want_c, lo, hi = map(int, table.eigen_draw(j, u, v))
+        assert (c, k) == (want_c, int(twin.integers(lo, hi)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+    # Drawing kept no column and nothing per row.
+    assert set(vars(table)) == {"q", "r"}
+
+
+def test_eigen_draw_on_arrays_equals_scalar_draws():
+    # Same bytes from one int64 array call as from one call per draw, at
+    # q = 2^24 and at q = 2^63, the widest q whose c fits in int64.
+    for q, r in [(1 << 24, 260), (1 << 63, 3), (1 << 40, 11592)]:
+        table = SpectrumTable(q=q, r=r)
+        rng = np.random.default_rng(r)
+        j = rng.integers(0, r, 500)
+        u = rng.random((q.bit_length() - 1, 500))
+        v = rng.random(500)
+        arrays = table.eigen_draw(j, u, v)
+        for a in arrays:
+            assert a.dtype == np.int64
+        scalars = [tuple(map(int, table.eigen_draw(int(j[i]), u[:, i], v[i])))
+                   for i in range(500)]
+        assert list(zip(*(a.tolist() for a in arrays))) == scalars
+        assert set(vars(table)) == {"q", "r"}
+
+
+def test_table_free_draw_refuses_q_past_2_pow_63():
+    # c must fit in int64, so q = 2^63 draws and q = 2^64 is refused by name
+    with pytest.raises(ValueError, match=f"q = {1 << 64} is more than 2"):
+        SpectrumTable(q=1 << 64, r=3).sample(np.random.default_rng(0))
+    c, k = SpectrumTable(q=1 << 63, r=3).sample(np.random.default_rng(0))
+    assert 0 <= c < 1 << 63 and 0 <= k < 3
