@@ -23,6 +23,7 @@ Checks A, C, D gate the verdict; B and E are recorded but not fatal.
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,12 +90,17 @@ class AuditCheck:
     hard: bool
 
 
-# Largest modulus whose candidate list (every d < r < n) has fewer than 2^30
-# entries, so that int32 holds each d, r and block offset r(r - 1)/2. Near
-# this n the build needs about 16 GB (15 bytes per candidate), the list
-# keeps 5 GB and each pair-count pass needs 18 GB more (27 bytes per
-# fraction), so in practice memory sets the limit well below it.
+# Largest modulus the pair counter accepts. Up to it, every q = 2^s below
+# n^2 has s <= 31, so the counter's shift 32 - s is at least 1, and each
+# key's numerator d 2^32 < 2^48 fits int64. The keys take 8 bytes per
+# fraction (about 0.3 n^2 fractions: 24 MB at n = 3233, 5 GB near this
+# n); the build adds about 15 MB for one block of 2^20 candidates d < r,
+# and each pass 9 bytes per fraction below c = q and then 16 per distinct
+# c, so in practice memory sets the limit well below it.
 MAX_FRACTION_MODULUS = 46341
+
+# Candidates d < r per build block of denominators.
+_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -113,25 +119,45 @@ def count_fractions(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _fractions(n: int) -> tuple:
-    """The reduced fractions d/r in [0, 1) with r < n, as int32 arrays.
+def _fraction_keys(n: int) -> np.ndarray:
+    """floor(d 2^32 / r) for every reduced fraction d/r in [0, 1) with r < n.
 
-    Lists every d < r for r = 1 .. n - 1 (r repeated r times, d the offset
-    inside its block) and keeps the pairs with gcd(d, r) = 1; 0/1 is the
-    only one with d = 0. The list does not depend on q, so it is built once
-    per n, and only the few most recent n are kept. It holds about
-    0.3 n^2 fractions at 8 bytes each: 2.4 MB at n = 1001.
+    One int64 key per fraction, ascending and read-only. Distinct fractions
+    with r < n differ by more than 2^-32, so the keys are distinct and
+    their order is the fractions' order. The keys are filled in blocks of
+    denominators holding about ``_BLOCK`` candidates d < r each (d and r
+    as int32, gcd(d, r) = 1 kept; 0/1 is the only fraction with d = 0)
+    into an array of exactly ``count_fractions(n)`` entries, so the sieve
+    and the list check each other, and then sorted in place. The keys do
+    not depend on q, so they are built once per n, and only the few most
+    recent n are kept: about 0.3 n^2 keys at 8 bytes each, 2.4 MB at
+    n = 1001.
     """
     if n > MAX_FRACTION_MODULUS:
         raise ValueError(
             f"the fraction list supports n <= {MAX_FRACTION_MODULUS}, got {n}"
         )
-    r = np.repeat(np.arange(1, n, dtype=np.int32), np.arange(1, n))
-    d = np.arange(r.size, dtype=np.int32) - (r - 1) * r // 2
-    keep = np.gcd(d, r) == 1
-    d, r = d[keep], r[keep]
-    d.flags.writeable = r.flags.writeable = False
-    return d, r
+    keys = np.empty(count_fractions(n), dtype=np.int64)
+    filled = 0
+    r0 = 1
+    while r0 < n:
+        # the denominators r0 .. r1 - 1 hold (r1 - r0)(r1 + r0 - 1)/2
+        # candidates, about _BLOCK
+        r1 = min(n, max(r0 + 1, math.isqrt(r0 * r0 + 2 * _BLOCK)))
+        counts = np.arange(r0, r1, dtype=np.int32)
+        r = np.repeat(counts, counts)
+        d = np.arange(r.size, dtype=np.int32)
+        d -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        keep = np.gcd(d, r) == 1
+        block = keys[filled:filled + np.count_nonzero(keep)]
+        np.left_shift(d[keep], 32, out=block, dtype=np.int64)
+        np.floor_divide(block, r[keep], out=block)
+        filled += block.size
+        r0 = r1
+    assert filled == keys.size, (filled, keys.size)
+    keys.sort()
+    keys.flags.writeable = False
+    return keys
 
 
 def count_indistinguishable_pairs(n: int, q: int) -> int:
@@ -145,24 +171,40 @@ def count_indistinguishable_pairs(n: int, q: int) -> int:
     between neighbouring grid points, which distinct fractions cannot, so
     nothing is double counted. For q >= n^2 the count is provably zero:
     distinct candidate fractions differ by more than 1/(n-1)^2 > 1/q, and
-    no fraction list is built.
+    no fraction list is built. q must be a power of two.
 
-    The c consistent with d/r satisfy |2cr - 2dq| <= r, an integer range
-    [lo, hi] with hi - lo in {0, 1}, 0 <= lo and hi <= q. One vectorised
-    pass over the cached fraction list bincounts every lo and every
-    hi > lo; c = q lies outside the register and is dropped. d is widened
-    to int64 for the product 2dq, which stays below 2nq < 2n^3 <= 2^48 for
-    n <= ``MAX_FRACTION_MODULUS``: far inside int64.
+    The c consistent with d/r satisfy |2cr - 2dq| <= r, the integers from
+    lo = ceil(dq/r - 1/2) to hi = floor(dq/r + 1/2). With q = 2^s and
+    sh = 32 - s (at least 1, since s <= 31 whenever q < n^2 and
+    n <= ``MAX_FRACTION_MODULUS``), hi = (y + 2^(sh-1)) >> sh for the
+    cached key y = floor(d 2^32 / r): adding an integer and flooring by
+    2^sh commutes with the floor inside y. The keys ascend, so hi does
+    too, one searchsorted drops hi = q (outside the register), and the
+    fractions with hi = c form one run: sum C(run, 2) needs no division
+    and no array of length q. lo < hi only when d/r = (2c+1)/(2q), which
+    in lowest terms has r = 2q, so such midpoint fractions exist only when
+    2q < n. Then there is exactly one for each c < q (d = 2c + 1), counted
+    in its run at hi = c + 1 and again at lo = c, so each k_c is its run
+    length h plus 1, and C(h + 1, 2) - C(h, 2) = h sums to the number of
+    fractions with hi < q.
     """
+    if q < 1 or q & (q - 1):
+        raise ValueError(f"q must be a power of two, got {q}")
     if q >= n * n:
         return 0
-    d, r = _fractions(n)
-    num = d.astype(np.int64) * (2 * q)
-    lo = -((r - num) // (2 * r))
-    hi = (num + r) // (2 * r)
-    k = (np.bincount(lo, minlength=q + 1)
-         + np.bincount(hi[hi > lo], minlength=q + 1))[:q]
-    return int((k @ k - k.sum()) // 2)
+    sh = 33 - q.bit_length()
+    half = 1 << (sh - 1)
+    keys = _fraction_keys(n)
+    keys = keys[:np.searchsorted(keys, (1 << 32) - half)]
+    hi = keys + half
+    hi >>= sh
+    # True at the first fraction of each run, and once past the last
+    starts = np.ones(hi.size + 1, dtype=bool)
+    np.not_equal(hi[1:], hi[:-1], out=starts[1:-1])
+    del hi
+    runs = np.diff(np.flatnonzero(starts))
+    pairs = (int(runs @ runs) - keys.size) // 2
+    return pairs + keys.size if 2 * q < n else pairs
 
 
 @dataclass(frozen=True)

@@ -93,30 +93,99 @@ def totient_sieve_fractions(n: int) -> int:
     return 1 + sum(phi[2:])
 
 
+def bincount_pairs(n: int, q: int) -> int:
+    """The pair count by a bincount of every lo and hi > lo over all c.
+
+    Builds the (d, r) list in one pass and counts with two int64 floor
+    divisions per fraction: any q, no key array, no sort, no runs.
+    """
+    if q >= n * n:
+        return 0
+    r = np.repeat(np.arange(1, n, dtype=np.int64), np.arange(1, n))
+    d = np.arange(r.size, dtype=np.int64) - (r - 1) * r // 2
+    keep = np.gcd(d, r) == 1
+    d, r = d[keep], r[keep]
+    num = d * (2 * q)
+    lo = -((r - num) // (2 * r))
+    hi = (num + r) // (2 * r)
+    k = (np.bincount(lo, minlength=q + 1)
+         + np.bincount(hi[hi > lo], minlength=q + 1))[:q]
+    return int((k @ k - k.sum()) // 2)
+
+
+def reduced_fractions(n: int) -> list:
+    return [Fraction(d, r) for r in range(1, n) for d in range(r)
+            if math.gcd(d, r) == 1]
+
+
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(2, 60), s=st.integers(1, 12))
+@given(n=st.integers(2, 150), s=st.integers(1, 12))
 def test_pair_counter_matches_definition(n, s):
+    # 2q < n, where midpoint fractions (2c + 1)/(2q) exist, for s <= 6
     assert count_indistinguishable_pairs(n, 1 << s) == definition_pairs(
         n, 1 << s
     )
     assert count_fractions(n) == totient_sieve_fractions(n)
-    assert count_fractions(n) == len(auditor._fractions(n)[0])
+    keys = auditor._fraction_keys(n)
+    assert keys.tolist() == [
+        f.numerator * 2**32 // f.denominator
+        for f in sorted(reduced_fractions(n))
+    ]
 
 
-def test_pair_counter_int64_headroom_at_largest_grid_n():
-    # n = 1001 is the largest audited modulus in the benchmark grid, and
-    # 2^19 the largest q below n^2, so 2dq is the largest product counted.
-    n, q = 1001, 1 << 19
-    d, r = auditor._fractions(n)
-    assert d.dtype == r.dtype == np.int32
-    assert 2 * int(d.max()) * q + int(r.max()) < 2 * n**3 < 2**63
+@pytest.mark.parametrize("n", [15, 33, 221, 1001])
+def test_pair_counter_matches_bincount_at_every_grid_width(n):
+    # the bench grid's moduli, every s up to 2 ceil(log2 n) + 1
+    for s in range(1, 2 * (n - 1).bit_length() + 2):
+        assert count_indistinguishable_pairs(n, 1 << s) == bincount_pairs(
+            n, 1 << s
+        ), s
+
+
+@pytest.mark.parametrize("n,s", [(9, 1), (9, 2), (17, 3), (40, 4), (65, 5),
+                                 (130, 6), (64, 5), (65, 6)])
+def test_midpoint_fractions_are_the_odd_multiples_of_one_over_2q(n, s):
+    # lo = ceil(dq/r - 1/2) < hi = floor(dq/r + 1/2) exactly at the q
+    # fractions (2c + 1)/(2q), one per c < q, when 2q < n, and nowhere
+    # else; hi is the shift of the fraction's key
+    q = 1 << s
+    sh = 32 - s
+    keys = auditor._fraction_keys(n).tolist()
+    midpoints = {}
+    for f, key in zip(sorted(reduced_fractions(n)), keys):
+        lo = math.ceil(f * q - Fraction(1, 2))
+        hi = math.floor(f * q + Fraction(1, 2))
+        assert hi == (key + (1 << (sh - 1))) >> sh
+        if lo != hi:
+            assert hi == lo + 1
+            midpoints[f] = lo
+    if 2 * q < n:
+        assert midpoints == {Fraction(2 * c + 1, 2 * q): c for c in range(q)}
+    else:
+        assert midpoints == {}
     assert count_indistinguishable_pairs(n, q) == definition_pairs(n, q)
+
+
+def test_pair_counter_shift_headroom_at_the_largest_modulus():
+    # at the largest accepted n, the widest q below n^2 still leaves a
+    # shift of at least 1, and every key numerator d 2^32 fits int64
+    n = auditor.MAX_FRACTION_MODULUS
+    s = (n * n - 1).bit_length() - 1
+    assert 1 << s < n * n <= 1 << (s + 1)
+    assert 32 - s >= 1
+    assert (n - 2) * 2**32 < 2**48 < 2**63
+
+
+def test_pair_counter_rejects_q_not_a_power_of_two():
+    for q in (0, 3, 12, 100):
+        with pytest.raises(ValueError, match="power of two"):
+            count_indistinguishable_pairs(15, q)
 
 
 def test_fraction_cache_stays_bounded():
     for n in range(3, 40):
         audit(RegisterConfig(n=n, register1_qubits=3, register2_qubits=6))
-    info = auditor._fractions.cache_info()
+    info = auditor._fraction_keys.cache_info()
     assert info.maxsize == 4
     assert info.currsize <= info.maxsize
 
@@ -125,21 +194,33 @@ def test_audit_at_sufficient_width_builds_no_fraction_list():
     # q >= n^2 needs only the fraction count, so n above the list's limit
     # audits in O(n) memory.
     n = auditor.MAX_FRACTION_MODULUS + 2
-    misses = auditor._fractions.cache_info().misses
+    misses = auditor._fraction_keys.cache_info().misses
     report = audit(RegisterConfig(n=n, register1_qubits=32,
                                   register2_qubits=16))
     c = report.check(COND_CFE_DISTINGUISH)
     assert c.evidence["fraction_count"] == totient_sieve_fractions(n)
     assert c.evidence["indistinguishable_pairs"] == 0
     assert report.verdict is Verdict.COMPLIANT
-    assert auditor._fractions.cache_info().misses == misses
+    assert auditor._fraction_keys.cache_info().misses == misses
 
 
-def test_fraction_list_is_read_only_and_size_checked():
-    d, r = auditor._fractions(15)
-    assert not d.flags.writeable and not r.flags.writeable
+def test_fraction_keys_are_read_only_int64_and_size_checked():
+    keys = auditor._fraction_keys(15)
+    assert keys.dtype == np.int64 and not keys.flags.writeable
     with pytest.raises(ValueError, match="fraction list supports n <="):
-        auditor._fractions(auditor.MAX_FRACTION_MODULUS + 1)
+        auditor._fraction_keys(auditor.MAX_FRACTION_MODULUS + 1)
+
+
+def test_fraction_keys_fill_by_blocks_is_exact(monkeypatch):
+    # blocks of a few dozen candidates split the denominators at many
+    # places; the keys must not depend on where
+    want = auditor._fraction_keys(200).tolist()
+    monkeypatch.setattr(auditor, "_BLOCK", 37)
+    auditor._fraction_keys.cache_clear()
+    try:
+        assert auditor._fraction_keys(200).tolist() == want
+    finally:
+        auditor._fraction_keys.cache_clear()
 
 
 def test_pair_counter_zero_at_sufficient_width():
