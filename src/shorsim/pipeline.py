@@ -311,45 +311,6 @@ def _lcg(state: tuple, inc: tuple) -> tuple:
     return hi + (lo < inc_lo), lo
 
 
-def _pcg64_seeded(seeds: list) -> tuple:
-    """(state, inc) as ``pcg64_set_seed`` leaves them for each seed.
-
-    ``seeds`` are the four words of generate_state(4, np.uint64); the first
-    two are the initial state, the last two the stream, shifted left once
-    with the low bit set. Each 128-bit value is a (high, low) pair of
-    uint64 arrays.
-    """
-    w0, w1, w2, w3 = seeds
-    one = np.uint64(1)
-    inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
-    lo = w1 + inc[1]
-    start = (w0 + inc[0] + (lo < w1), lo)
-    return _lcg(start, inc), inc
-
-
-def _xsl_rr(state: tuple) -> np.ndarray:
-    """PCG64's output: the state's two words xored, rotated right by its
-    top six bits."""
-    hi, lo = state
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-
-
-def _pcg64_words(state: tuple, inc: tuple, count: int) -> list:
-    """The first ``count`` 64-bit outputs of each seeded PCG64 stream."""
-    words = []
-    for _ in range(count):
-        state = _lcg(state, inc)
-        words.append(_xsl_rr(state))
-    return words
-
-
-def _unit(words: np.ndarray) -> np.ndarray:
-    """``Generator.random()`` of each word: its top 53 bits times 2^-53."""
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
 def _lemire32(words: np.ndarray, span: np.ndarray) -> tuple:
     """``Generator.integers(0, span)`` of each word's low 32 bits.
 
@@ -366,40 +327,75 @@ def _lemire32(words: np.ndarray, span: np.ndarray) -> tuple:
     return (m >> 32).astype(np.int64), (m & _U32) < span
 
 
+class _Streams:
+    """A lockstep stand-in for a block of seeded PCG64 Generators.
+
+    Built from each stream's four seed words (``_child_seeds``), it answers
+    the Generator calls ``SpectrumTable.draw`` makes, one value per stream:
+
+    - ``random()`` is the top 53 bits of each stream's next 64-bit output
+      times 2^-53, and ``random(s)`` is s of those.
+    - ``integers(lo, hi)`` is ``_lemire32`` of the low half of a new
+      output. The high half is kept for the next ``integers`` call, as
+      PCG64's 32-bit buffer keeps it, and ``random`` leaves it alone. Each
+      call ORs into ``redraw`` the streams whose draw numpy might reject.
+
+    numpy reads nothing for ``integers`` over a span of one value, but this
+    stand-in still reads an output or the kept half. So the streams match
+    their Generators only if a call that can span one value is the last
+    call made.
+    """
+
+    def __init__(self, seeds: list):
+        # pcg64_set_seed: the first two words are the initial state, the
+        # last two the stream, shifted left once with the low bit set.
+        w0, w1, w2, w3 = seeds
+        one = np.uint64(1)
+        self._inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
+        lo = w1 + self._inc[1]
+        self._state = _lcg((w0 + self._inc[0] + (lo < w1), lo), self._inc)
+        self._kept = None
+        self.redraw = False
+
+    def _next(self) -> np.ndarray:
+        """Each stream's next output: its state's two words xored, rotated
+        right by the state's top six bits (PCG64's XSL RR)."""
+        self._state = _lcg(self._state, self._inc)
+        hi, lo = self._state
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+
+    def random(self, size=None):
+        if size is not None:
+            return [self.random() for _ in range(size)]
+        return (self._next() >> np.uint64(11)) * 2.0**-53
+
+    def integers(self, low, high) -> np.ndarray:
+        if self._kept is None:
+            word = self._next()
+            self._kept = word >> np.uint64(32)
+        else:
+            word, self._kept = self._kept, None
+        draw, reject = _lemire32(word, high - low)
+        self.redraw |= reject
+        return draw + low
+
+
 def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
     """Lists of the c and k ``table.sample`` draws for ``count`` trials.
 
     Trial i samples with ``default_rng`` of master's spawned child number
-    n_children_spawned + start + i. Its first PCG64 outputs are computed
-    for all trials at once and mapped as the Generator calls of ``sample``
-    map them. At q <= 2^16: one ``random()`` for c, a second for k's group
-    when q % r != 0, then ``integers`` on the next output's low half. When
-    ``table.table_free`` (q = 2^s): ``integers(0, r)`` for j on output 0's
-    low half, ``random()`` of outputs 1..s for c's bits and of output
-    s + 1 for k's group, and ``integers`` for k on output 0's high half,
-    which PCG64 keeps for the next 32-bit draw. A trial whose j or k draw
+    n_children_spawned + start + i. ``table.draw`` makes its calls on a
+    ``_Streams`` of all those children at once, so the stream layout is
+    the one ``SpectrumTable.draw`` documents. A trial whose j or k draw
     numpy might reject is drawn again by ``sample`` from ``default_rng`` of
     that child, built as ``SeedSequence.spawn`` builds it.
     """
-    seeded = _pcg64_seeded(_child_seeds(master, start, count))
-    if table.table_free:
-        s = table.q.bit_length() - 1
-        words = _pcg64_words(*seeded, s + 2)
-        j, redraw = _lemire32(words[0], table.r)
-        c, lo, hi = table.eigen_draw(
-            j, [_unit(w) for w in words[1:s + 1]], _unit(words[s + 1])
-        )
-        k_word = words[0] >> np.uint64(32)
-    else:
-        words = _pcg64_words(*seeded, 3)
-        c, lo, hi = table.inverse_cdf(_unit(words[0]), _unit(words[1]))
-        redraw = False
-        k_word = words[1 + bool(table.q % table.r)]
-    k, k_redraw = _lemire32(k_word, hi - lo)
-    k += lo
-    redraw |= k_redraw
+    streams = _Streams(_child_seeds(master, start, count))
+    c, k = table.draw(streams)
     first = master.n_children_spawned + start
-    for i in np.flatnonzero(redraw).tolist():
+    for i in np.flatnonzero(streams.redraw).tolist():
         child = np.random.SeedSequence(
             master.entropy, spawn_key=(*master.spawn_key, first + i),
             pool_size=master.pool_size,
@@ -420,18 +416,17 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     n_children_spawned + i, so any single trial can be reproduced in
     isolation: for an int seed, trial i is
     ``default_rng(SeedSequence(seed).spawn(trials)[i])``. No Generator is
-    built per trial: for each block of ``_BLOCK`` trials, the seeds, the
-    PCG64 outputs and the numpy draws made from them are computed bit for
-    bit on arrays, and only a trial whose j or k draw numpy might reject
-    is drawn by ``table.sample`` itself. At q <= 2^16 the draws map through
-    ``table.inverse_cdf``; above it through ``table.eigen_draw``, bit by
-    bit, so no table is built, and a block costs O(s) per trial and
-    O(_BLOCK * s) memory (``_draws`` gives the stream layout of each
-    path). NumPy makes n_children_spawned
-    read-only, so a SeedSequence master is not advanced: two calls with the
-    same master return equal traces. NumPy counts spawned children in 32
-    bits, so trials may not exceed 2^32 - 1 - n_children_spawned, which
-    also keeps each child's index one spawn-key word.
+    built per trial: for each block of ``_BLOCK`` trials, the seeds and
+    PCG64 outputs are computed bit for bit on arrays, ``table.draw`` makes
+    its calls (the stream layout is documented there) on all of them at
+    once, and only a trial whose j or k draw numpy might reject is drawn
+    by ``table.sample`` itself. Above q = 2^16 no table is built, and a
+    block costs O(s) per trial and O(_BLOCK * s) memory. NumPy makes
+    n_children_spawned read-only, so a SeedSequence master is not
+    advanced: two calls with the same master return equal traces. NumPy
+    counts spawned children in 32 bits, so trials may not exceed
+    2^32 - 1 - n_children_spawned, which also keeps each child's index one
+    spawn-key word.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -179,12 +179,12 @@ class SpectrumTable:
     1 - 2^-53 as its one top-of-range rule. When q > 2^16 (``table_free``),
     draws go through ``eigen_draw`` instead, which maps an eigenphase index
     and s uniforms to c bit by bit and reads no column, so a table that
-    has only sampled holds (q, r) alone. ``sample`` draws one (c, k) from
-    a Generator through one of the two, and ``pipeline.run_trials``
-    computes a block of trials' uniforms at once and maps them with one
-    call. The arrays are frozen, and every lazily computed column is a
-    function of (q, r) alone, so threads sharing a table at worst compute
-    a column twice, with identical bytes.
+    has only sampled holds (q, r) alone. ``draw`` takes one (c, k) through
+    one of the two from a Generator's calls, or a whole block of draws
+    from a stand-in's (``pipeline.run_trials``), and ``sample`` is its
+    Python-int form. The arrays are frozen, and every lazily computed
+    column is a function of (q, r) alone, so threads sharing a table at
+    worst compute a column twice, with identical bytes.
     """
 
     q: int
@@ -297,40 +297,60 @@ class SpectrumTable:
             return (m / q) ** 2
         return _kernel(m, t, q) / q**2
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        """Draw (c, k) with probability P(c, k).
+    def draw(self, rng) -> tuple:
+        """Draw (c, k) with probability P(c, k) by ``rng``'s calls.
 
-        At q <= 2^16, one ``rng.random()`` selects c, a second selects k's
-        class-size group when there are two (q % r != 0), and
-        ``rng.integers`` draws k uniformly inside the group;
-        ``inverse_cdf`` maps the two uniforms as floats, building no array.
-        When ``table_free`` (q = 2^s > 2^16), the draws are, in order:
-        ``rng.integers(0, r)`` for the eigenphase index j, ``rng.random(s)``
-        for c's bits, ``rng.random()`` for k's group only if q % r != 0,
-        and ``rng.integers`` for k; ``eigen_draw`` maps them. On PCG64 the
-        j draw takes the low half of the first 64-bit output, and the k
-        draw the high half that the bit generator kept, not a new output.
+        This is the one definition of a draw's random stream. ``rng`` is a
+        ``np.random.Generator``, or a stand-in answering ``random()``,
+        ``random(s)`` and ``integers(lo, hi)`` with one value per draw of a
+        block, such as ``pipeline._Streams``. The calls are, in order:
+
+        - q <= 2^16: ``random()`` for c, ``random()`` for k's class-size
+          group only if q % r != 0, and ``integers(lo, hi)`` for k inside
+          the group; ``inverse_cdf`` maps them, a Generator's as floats
+          with no array built.
+        - ``table_free`` (q = 2^s > 2^16): ``integers(0, r)`` for the
+          eigenphase index j, ``random(s)`` for c's bits, ``random()`` for
+          k's group only if q % r != 0, and ``integers(lo, hi)`` for k;
+          ``eigen_draw`` maps them.
+
+        On PCG64 each ``random()`` reads the top 53 bits of a new 64-bit
+        output, and ``integers`` below 2^32 reads the low half of a new
+        output and keeps the high half for the next ``integers`` call, so
+        above 2^16 k reads the high half of j's output. Only the last
+        ``integers`` call can span one value (a group of one k, at
+        q % r = 1 or r - 1), for which numpy reads nothing. Returns what
+        the calls give: numpy scalars from a Generator, int64 arrays from
+        a block stand-in.
         """
         r = self.r
         if self.table_free:
-            j = int(rng.integers(0, r))
+            j = rng.integers(0, r)
             u = rng.random(self.q.bit_length() - 1)
             v = rng.random() if self.q % r else 0.0
-            c, lo, hi = map(int, self.eigen_draw(j, u, v))
+            c, lo, hi = self.eigen_draw(j, u, v)
         else:
             u = rng.random()
             v = rng.random() if self.q % r else 0.0
-            c, lo, hi = map(int, self.inverse_cdf(u, v))
-        return c, int(rng.integers(lo, hi))
+            c, lo, hi = self.inverse_cdf(u, v)
+        return c, rng.integers(lo, hi)
+
+    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+        """Draw (c, k) with probability P(c, k), as Python ints.
+
+        ``int`` of ``draw(rng)``, whose docstring gives the stream layout.
+        """
+        c, k = self.draw(rng)
+        return int(c), int(k)
 
     def _phase(self, j, low, i):
         """theta_i = (2^(s-1-i) j mod r)/r - low/2^(i+1) in (-1/2, 1/2].
 
         q = 2^s. The first term is reduced exactly in integers before it
         becomes a float, so for q <= 2^53 theta_i is within 2^-54 of its
-        exact value. ``j`` and ``low`` are ints, or int64 arrays of one
-        value per draw; for arrays, r^2 must stay below 2^63, as it does
-        for every instance ``choose_q`` sizes at q <= 2^63 (r < n).
+        exact value. ``j`` and ``low`` are ints, or int64 scalars or arrays
+        of one value per draw; for int64, r^2 must stay below 2^63, as it
+        does for every instance ``choose_q`` sizes at q <= 2^63 (r < n).
         """
         s = self.q.bit_length() - 1
         r = self.r
@@ -389,9 +409,9 @@ class SpectrumTable:
         c, the k-conditional depends only on the class size m_k, which takes
         the two values A+1 (classes k < B) and A (classes k >= B) where
         q = A*r + B; so v picks a class-size group with the appropriate
-        weight, by ``_k_range``. ``sample`` and ``pipeline.run_trials``
-        draw through it at q <= 2^16 only; above that they draw through
-        ``eigen_draw`` and never build ``cumulative``.
+        weight, by ``_k_range``. ``draw`` maps through it at q <= 2^16
+        only; above that it maps through ``eigen_draw`` and never builds
+        ``cumulative``.
         """
         cum = self.cumulative
         p = len(cum)

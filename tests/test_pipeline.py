@@ -443,8 +443,8 @@ SEEDING_MASTERS = {
 
 
 def _seeded(master, count):
-    """Each of master's next ``count`` children's PCG64 (state, inc)."""
-    return pipeline._pcg64_seeded(pipeline._child_seeds(master, 0, count))
+    """The ``_Streams`` of master's next ``count`` children."""
+    return pipeline._Streams(pipeline._child_seeds(master, 0, count))
 
 
 @pytest.mark.parametrize("count", [1, 2, 1000])
@@ -453,8 +453,56 @@ def test_pcg64_words_match_random_raw(name, count):
     master = SEEDING_MASTERS[name]()
     want = [np.random.default_rng(child).bit_generator.random_raw(3).tolist()
             for child in _copy(master).spawn(count)]
-    words = pipeline._pcg64_words(*_seeded(master, count), 3)
+    streams = _seeded(master, count)
+    words = [streams._next() for _ in range(3)]
     assert np.stack(words, axis=1).tolist() == want
+
+
+# Each sequence of Generator calls, as (method, args): integers keeps the
+# high half of its output across random calls, takes a fresh output when
+# none is kept, and a second integers call reads the kept high half.
+STREAM_CALLS = {
+    "kept-across-random": [("integers", (0, 260)), ("random", (5,)),
+                           ("random", ()), ("integers", (3, 367))],
+    "fresh-output": [("random", ()), ("random", ()),
+                     ("integers", (0, 5100))],
+    "low-then-high": [("integers", (0, 1000)), ("integers", (7, 10))],
+}
+
+
+@pytest.mark.parametrize("calls", list(STREAM_CALLS))
+@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("name", list(SEEDING_MASTERS))
+def test_streams_answer_as_generators_do(name, count, calls):
+    master = SEEDING_MASTERS[name]()
+    streams = _seeded(master, count)
+    got = [np.asarray(getattr(streams, method)(*args)).T
+           for method, args in STREAM_CALLS[calls]]
+    checked = 0
+    for i, child in enumerate(_copy(master).spawn(count)):
+        if streams.redraw[i]:
+            continue
+        rng = np.random.default_rng(child)
+        for (method, args), values in zip(STREAM_CALLS[calls], got):
+            want = np.asarray(getattr(rng, method)(*args))
+            assert values[i].tolist() == want.tolist(), (i, method)
+        checked += 1
+    # A flagged stream may part from its Generator, where numpy redraws;
+    # these children flag at most one.
+    assert checked >= count - 1
+
+
+@pytest.mark.parametrize("child,calls", [
+    # (851, 2) at q = 2^20: two random() calls, then k from 364 values.
+    (3252730, [("random", ()), ("random", ()), ("integers", (0, 364))]),
+    # (3233, 3) above 2^16: j from r = 260 values is the first call.
+    (16843767, [("integers", (0, 260))]),
+])
+def test_streams_flag_the_draws_numpy_rejects(child, calls):
+    streams = _seeded(SS(0, n_children_spawned=child), 3)
+    for method, args in calls:
+        getattr(streams, method)(*args)
+    assert streams.redraw.tolist() == [True, False, False]
 
 
 def reference_run_trials(n, x, trials, seed):

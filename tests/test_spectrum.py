@@ -732,6 +732,46 @@ def test_table_free_sample_reads_the_documented_stream(q, r):
     assert set(vars(table)) == {"q", "r"}
 
 
+class _Recorder:
+    """Generator stub: answers from a real Generator and logs each call as
+    ("random", size) or ("integers", span)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def integers(self, lo, hi):
+        self.calls.append(("integers", hi - lo))
+        return self.rng.integers(lo, hi)
+
+
+# q % r = 0 and != 0 on each side of 2^16; then groups of one k, at
+# q % r = 1 (2^16 mod 3) and r - 1 (2^17 mod 3).
+@pytest.mark.parametrize("q,r", [(256, 4), (512, 6), (1 << 20, 8),
+                                 (1 << 24, 260), (1 << 16, 3), (1 << 17, 3)])
+def test_draw_makes_the_documented_calls(q, r):
+    table = SpectrumTable(q=q, r=r)
+    s = q.bit_length() - 1
+    head = ([("random", None)] if q <= 1 << 16
+            else [("integers", r), ("random", s)])
+    group = [("random", None)] if q % r else []
+    last_spans = set()
+    for seed in range(60):
+        rng = _Recorder(seed)
+        table.draw(rng)
+        *calls, (last, span) = rng.calls
+        assert calls == head + group and last == "integers"
+        last_spans.add(span)
+        # numpy reads nothing for a span of one value, and ``_Streams``
+        # reads an output, so only the last call may span one value.
+        assert all(n > 1 for call, n in calls if call == "integers")
+    assert last_spans == ({r} if q % r == 0 else {q % r, r - q % r})
+
+
 def test_eigen_draw_on_arrays_equals_scalar_draws():
     # Same bytes from one int64 array call as from one call per draw, at
     # q = 2^24 and at q = 2^63, the widest q whose c fits in int64.
