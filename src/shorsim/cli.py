@@ -10,11 +10,13 @@ reproducible byte for byte. Probabilities are printed with 12 significant
 digits: more than the 1e-12 normalization tolerance resolves, fewer than
 double-precision noise.
 
-``_emit`` writes every table, given as columns: a list of values, or a
-range of ints, per key. Each column is formatted with one call, not one per
-cell, and the writers join its text into lines a block of rows at a time.
-A shorter column is one period of its values: a spectrum dump formats one
-gcd(r, q) period.
+``_emit`` writes every table, given as columns: a list of values, a numpy
+array or a range of ints, per key. The writers take a block of rows at a
+time and format each column's cells in it with one call, not one per cell.
+The first column has a value per row; the others may hold one period of
+values, as a spectrum dump's hold q/g values of c (g = gcd(r, q)). Each
+block of the period is formatted once, into a template that lacks only the
+first column's cells, and each write fills one with a single ``%``.
 """
 
 import argparse
@@ -23,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -60,13 +63,19 @@ def _cell(v) -> str:
     return str(v)
 
 
-# Rows per ``out.write``. A block's cells and text are all that is held at
-# once: writing a 2^16-row spectrum in one piece peaks ~23 MB higher.
+# Rows per ``out.write``, and so per formatting call: a block's cells and
+# text are all that is held at once. In one block, the 2^20-row JSON dump
+# ``spectrum --n 21 --x 4 --q 1048576`` peaks at ~622 MB, not ~68 MB.
 _ROWS_PER_WRITE = 1 << 12
 
 
+def _listed(values) -> list:
+    """A column's values as a list of Python scalars."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
 def _cells(values) -> list:
-    return list(map(_cell, values))
+    return list(map(_cell, _listed(values)))
 
 
 def _json_cells(values) -> list:
@@ -76,6 +85,7 @@ def _json_cells(values) -> list:
     item separator: JSON text of a scalar never contains a raw newline
     (strings escape it), so splitting on it recovers each value's text.
     """
+    values = _listed(values)
     if any(issubclass(t, float) for t in set(map(type, values))):
         values = [float(f"{v:.12g}") if isinstance(v, float) else v
                   for v in values]
@@ -87,53 +97,76 @@ def _columns(records: list) -> dict:
     return {k: [rec[k] for rec in records] for k in records[0]}
 
 
-def _texts(cells, columns: dict) -> list:
-    """Each column's text by ``cells``; a ``range`` stands for its ``str``s."""
-    return [column if isinstance(column, range) else cells(column)
-            for column in columns.values()]
+def _write_rows(head: str, tail: str, columns: list, cells, out) -> None:
+    """Write one line ``head + tail`` per row, filled with its cells.
 
-
-def _write_rows(template: str, columns: list, out) -> None:
-    """Write ``template % row`` for each row of the text columns.
-
-    There are as many rows as the longest column has; a shorter column's
-    text is repeated, which copies references. The lines of each block of
-    ``_ROWS_PER_WRITE`` rows are joined into one write.
+    ``head`` holds the first column's field and ``tail`` the others'. The
+    first column has a value per row; every other column holds one period
+    of values, repeated down the rows. Each block of at most
+    ``_ROWS_PER_WRITE`` rows of the period becomes a template once:
+    ``cells`` formats the block's values of the other columns, which fill
+    its lines, ``%`` escaped, so only the first column's fields are left.
+    One ``%`` on the first column's cells then writes a block; a ``range``
+    stays ints, which ``%`` formats in C. The templates are kept only
+    while the period repeats.
     """
-    rows = max(map(len, columns))
-    columns = [col if len(col) == rows else col * (rows // len(col))
-               for col in columns]
-    for i in range(0, rows, _ROWS_PER_WRITE):
-        block = [column[i:i + _ROWS_PER_WRITE] for column in columns]
-        out.write("".join(map(template.__mod__, zip(*block))))
+    first, *rest = columns
+    rows = len(first)
+    period = len(rest[0]) if rest else rows
+    # ``line % cells`` fills the tail's fields and gives back the head, and
+    # the tail's escaped %, as they were: a template with only the first
+    # field left. Unless a cell brings a %, each such line holds ``marks``.
+    line = head.replace("%", "%%") + tail.replace("%%", "%%%%")
+    marks = (line % (("",) * len(rest))).count("%")
+
+    def templates():
+        for i in range(0, period, _ROWS_PER_WRITE):
+            n = min(_ROWS_PER_WRITE, period - i)
+            texts = [cells(col[i:i + n]) for col in rest]
+            template = (line * n) % tuple(chain.from_iterable(zip(*texts)))
+            if template.count("%") != n * marks:
+                # A cell brought %: escape each line's text, padding and all.
+                template = head + head.join(
+                    (tail % row).replace("%", "%%") for row in zip(*texts))
+            yield i, n, template
+
+    blocks = templates() if period == rows else list(templates())
+    for start in range(0, rows, period):
+        for i, n, template in blocks:
+            part = first[start + i:start + i + n]
+            if not isinstance(part, range):
+                part = cells(part)
+            out.write(template % tuple(part))
 
 
 def _write_json(keys, columns: list, out) -> None:
     """One JSON object per row, as ``json.dumps`` writes a flat dict."""
-    template = ", ".join(
-        json.dumps(k).replace("%", "%%") + ": %s" for k in keys
-    )
-    _write_rows("{" + template + "}\n", columns, out)
+    first, *rest = (json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    _write_rows("{" + first, "".join(", " + f for f in rest) + "}\n",
+                columns, _json_cells, out)
 
 
 def _write_csv(keys, columns: list, out) -> None:
     """A header of the keys, then one comma-separated line per row."""
     out.write(",".join(keys) + "\n")
-    _write_rows(",".join(["%s"] * len(keys)) + "\n", columns, out)
+    _write_rows("%s", ",%s" * (len(keys) - 1) + "\n", columns, _cells, out)
 
 
 def _write_aligned(columns: dict, out) -> None:
     """Right-align each column, header included, to its widest cell."""
-    cells = _texts(_cells, columns)
+    # Formatted once, here, for the widths; a range stays ints.
+    texts = [col if isinstance(col, range) else _cells(col)
+             for col in columns.values()]
     # A range counts up from 0, so its last int is its widest.
     widths = [
         max(len(k), len(str(col[-1])) if isinstance(col, range)
             else max(map(len, col)))
-        for k, col in zip(columns, cells)
+        for k, col in zip(columns, texts)
     ]
-    template = "  ".join(f"%{w}s" for w in widths) + "\n"
-    out.write(template % tuple(columns))
-    _write_rows(template, cells, out)
+    first, *rest = (f"%{w}s" for w in widths)
+    tail = "".join("  " + f for f in rest) + "\n"
+    out.write((first + tail) % tuple(columns))
+    _write_rows(first, tail, texts, lambda text: text, out)
 
 
 def _write_kv(record: dict, out) -> None:
@@ -144,18 +177,18 @@ def _write_kv(record: dict, out) -> None:
 def _emit(fmt: str, columns: dict, human, out, summary=None) -> None:
     """Write columns as JSON lines, as CSV, or as text via ``human(out)``.
 
-    ``columns`` maps each key to a list of values or a ``range`` of ints.
+    ``columns`` maps each key to a list of values, a numpy array or a
+    ``range`` of ints.
     ``summary`` holds values about the whole record set: a final JSON
     object, or ``# key = value`` lines after the CSV. The human text
     carries its own.
     """
     if fmt == "structured-record":
-        _write_json(columns, _texts(_json_cells, columns), out)
+        _write_json(columns, list(columns.values()), out)
         if summary:
-            _write_json(summary, [_json_cells([v]) for v in summary.values()],
-                        out)
+            _write_json(summary, [[v] for v in summary.values()], out)
     elif fmt == "delimited-table":
-        _write_csv(columns, _texts(_cells, columns), out)
+        _write_csv(columns, list(columns.values()), out)
         for k, v in (summary or {}).items():
             out.write(f"# {k} = {_cell(v)}\n")
     else:
@@ -242,12 +275,13 @@ def cmd_spectrum(args) -> int:
     instance = FactoringInstance.create(args.n, args.x)
     q = args.q if args.q is not None else pipeline.choose_q(args.n).q
     table = build_spectrum(instance, q)
-    # Every column but c repeats with the period, so one period is passed.
+    # Every column but c repeats with the period, so one period is passed,
+    # as arrays: the writers take Python values a block at a time.
     columns = {
         "c": range(q),
-        "marginal_probability": table.period_marginals.tolist(),
-        "signed_residue": table.period_residues.tolist(),
-        "good_flag": table.period_flags.tolist(),
+        "marginal_probability": table.period_marginals,
+        "signed_residue": table.period_residues,
+        "good_flag": table.period_flags,
     }
     summary = {
         # The q/p copies of the period sum alike, and q/p is a power of two.

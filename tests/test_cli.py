@@ -23,14 +23,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_cli(*args, preexec_fn=None, **env):
+def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE, **env):
     """Run ``python -m shorsim`` in a child, with ``env`` added to its own."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
         [sys.executable, "-m", "shorsim", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         preexec_fn=preexec_fn,
@@ -496,15 +497,15 @@ def test_any_bounded_input_stays_inside_exit_contract(argv):
     assert code in (0, 1, 2), argv
 
 
-def run_capped(limit: int, *args):
+def run_capped(limit: int, *args, stdout=subprocess.PIPE):
     """``run_cli`` in a child whose address space is capped at ``limit``."""
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    return run_cli(*args, preexec_fn=cap, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1")
+    return run_cli(*args, preexec_fn=cap, stdout=stdout,
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
@@ -531,6 +532,29 @@ def test_out_of_memory_is_a_one_line_usage_exit():
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("shorsim: error: out of memory: ")
     assert res.stderr.count("\n") == 1, res.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_unrepeated_dump_runs_in_256_mib_of_address_space(tmp_path):
+    # r = 3 at n = 21, x = 4, so gcd(r, q) = 1 and the 2^20-row dump is a
+    # single period: its cells are formatted a block of rows at a time,
+    # where whole columns at once needed ~452 MiB of address space
+    path = tmp_path / "dump.jsonl"
+    with path.open("w") as out:
+        res = run_capped(256 << 20, "spectrum", "--n", "21", "--x", "4",
+                         "--q", str(1 << 20), "--format", "structured-record",
+                         stdout=out)
+    assert res.returncode == 0, res.stderr
+    with path.open() as dump:
+        first = json.loads(next(dump))
+        rows = 1
+        for last in dump:
+            rows += 1
+    summary = json.loads(last)
+    path.unlink()
+    assert first["c"] == 0 and rows == (1 << 20) + 1
+    assert list(summary) == ["normalization", "p_min_good_c"]
+    assert summary["normalization"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")

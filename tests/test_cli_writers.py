@@ -1,4 +1,4 @@
-"""The column-wise CLI writers write the bytes the row-wise ones wrote.
+"""The CLI writers write the bytes the row-wise ones wrote.
 
 ``ref_*`` below are the row-wise writers the CLI used before it formatted
 one column at a time, kept verbatim as the reference: they take one dict
@@ -6,8 +6,14 @@ per row. Each ``simulate``, ``sweep`` and ``verify-bounds`` case is run
 twice, once as it stands and once with ``cli._emit`` and
 ``cli._write_aligned`` replaced by the reference fed the same values row by
 row, and the two stdouts must be equal byte for byte. A ``spectrum`` dump
-passes ``_emit`` one period of each column, so its reference is built
+passes ``_emit`` one period of each column but c, so its reference is built
 without the CLI, from the values of ``build_spectrum(...).rows()``.
+
+``cli._write_rows`` turns each block of a period's rows into a template
+once, with only the first column's fields left, and fills it once per
+period. The dumps are also written with blocks that divide no period, and
+small tables with ``%`` in their cells, a single column or a period
+repeated, are checked against the reference in every format.
 """
 
 import contextlib
@@ -171,21 +177,79 @@ AWKWARD = {
 }
 
 
+TABLES = {
+    "awkward": AWKWARD,
+    # No column after the first: no other cells fill a block's template.
+    "one-column": {"50%": ["5%s", None, 1.5, True, "%%"]},
+    # A % in cells past the first column, one period of 4 rows repeated
+    # 3 times, with a range and an array among the periodic columns.
+    "periodic": {
+        "c": range(12),
+        "5%s": ["5%s", "%", "%(a)s", "x"],
+        "r": range(4),
+        "v": np.array([True, False, True, True]),
+        "f": [0.5, None, "%d", 2],
+    },
+}
+
+
+def tiled(columns: dict) -> dict:
+    """Each column as Python values, repeated to the first's length."""
+    rows = len(next(iter(columns.values())))
+    return {
+        k: (col.tolist() if isinstance(col, np.ndarray) else list(col))
+        * (rows // len(col))
+        for k, col in columns.items()
+    }
+
+
 @pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_writers_equal_reference_on_awkward_values(fmt):
-    records = records_of(AWKWARD)
+@pytest.mark.parametrize("table", TABLES)
+def test_writers_equal_reference_on_awkward_values(table, fmt, monkeypatch):
+    # Blocks of 3 rows: a period's last block is short.
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 3)
+    columns = TABLES[table]
+    records = records_of(tiled(columns))
     summary = {"p": 1.0 / 7, "q": None}
 
     def human(out):
-        cli._write_aligned(AWKWARD, out)
+        cli._write_aligned(columns, out)
 
     def ref_human(out):
         ref_write_aligned(records, out)
 
     new, ref = io.StringIO(), io.StringIO()
-    cli._emit(fmt, AWKWARD, human, new, summary)
+    cli._emit(fmt, columns, human, new, summary)
     ref_emit(fmt, records, ref_human, ref, summary)
     assert new.getvalue() == ref.getvalue()
+
+
+class Recorder(io.StringIO):
+    """A text stream that keeps each ``write``'s text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("n,x,q", SPECTRA)
+def test_spectrum_blocks_need_not_divide_the_period(n, x, q, fmt,
+                                                    monkeypatch):
+    # 100 divides no period, each a power of two: every period ends in a
+    # short block, and periods of 256 rows or more span several blocks.
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 100)
+    out = Recorder()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["spectrum", "--n", str(n), "--x", str(x),
+                         "--q", str(q), "--format", fmt]) == 0
+    assert out.getvalue() == ref_spectrum(n, x, q, fmt)
+    assert max(text.count("\n") for text in out.writes) <= 100
 
 
 def test_writers_bound_the_text_formatted_at_once(monkeypatch):
