@@ -23,12 +23,12 @@ Checks A, C, D gate the verdict; B and E are recorded but not fatal.
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import numtheory as nt
 from .spectrum import FactoringInstance, verify_bounds
 
 COND_Q_GE_N2 = "COND_Q_GE_N2"
@@ -94,13 +94,10 @@ class AuditCheck:
 # n^2 has s <= 31, so the counter's shift 32 - s is at least 1, and each
 # key's numerator d 2^32 < 2^48 fits int64. The keys take 8 bytes per
 # fraction (about 0.3 n^2 fractions: 24 MB at n = 3233, 5 GB near this
-# n); the build adds about 15 MB for one block of 2^20 candidates d < r,
+# n); the build adds one row of fewer than n candidates d < r at a time,
 # and each pass 9 bytes per fraction below c = q and then 16 per distinct
 # c, so in practice memory sets the limit well below it.
 MAX_FRACTION_MODULUS = 46341
-
-# Candidates d < r per build block of denominators.
-_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -124,14 +121,14 @@ def _fraction_keys(n: int) -> np.ndarray:
 
     One int64 key per fraction, ascending and read-only. Distinct fractions
     with r < n differ by more than 2^-32, so the keys are distinct and
-    their order is the fractions' order. The keys are filled in blocks of
-    denominators holding about ``_BLOCK`` candidates d < r each (d and r
-    as int32, gcd(d, r) = 1 kept; 0/1 is the only fraction with d = 0)
-    into an array of exactly ``count_fractions(n)`` entries, so the sieve
-    and the list check each other, and then sorted in place. The keys do
-    not depend on q, so they are built once per n, and only the few most
-    recent n are kept: about 0.3 n^2 keys at 8 bytes each, 2.4 MB at
-    n = 1001.
+    their order is the fractions' order. The keys are written one
+    denominator r at a time: the units d < r are the indices left after
+    clearing every p-th one for each prime p of ``nt.factorize(r)`` (0/1
+    is the only fraction with d = 0). They fill an array of exactly
+    ``count_fractions(n)`` entries, so the sieve and the factoriser check
+    each other, and are then sorted in place. The keys do not depend on
+    q, so they are built once per n, and only the few most recent n are
+    kept: about 0.3 n^2 keys at 8 bytes each, 2.4 MB at n = 1001.
     """
     if n > MAX_FRACTION_MODULUS:
         raise ValueError(
@@ -139,21 +136,13 @@ def _fraction_keys(n: int) -> np.ndarray:
         )
     keys = np.empty(count_fractions(n), dtype=np.int64)
     filled = 0
-    r0 = 1
-    while r0 < n:
-        # the denominators r0 .. r1 - 1 hold (r1 - r0)(r1 + r0 - 1)/2
-        # candidates, about _BLOCK
-        r1 = min(n, max(r0 + 1, math.isqrt(r0 * r0 + 2 * _BLOCK)))
-        counts = np.arange(r0, r1, dtype=np.int32)
-        r = np.repeat(counts, counts)
-        d = np.arange(r.size, dtype=np.int32)
-        d -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
-        keep = np.gcd(d, r) == 1
-        block = keys[filled:filled + np.count_nonzero(keep)]
-        np.left_shift(d[keep], 32, out=block, dtype=np.int64)
-        np.floor_divide(block, r[keep], out=block)
-        filled += block.size
-        r0 = r1
+    for r in range(1, n):
+        units = np.ones(r, dtype=bool)
+        for p in nt.factorize(r):
+            units[::p] = False
+        d = np.flatnonzero(units).astype(np.int64, copy=False)
+        keys[filled:filled + d.size] = (d << 32) // r
+        filled += d.size
     assert filled == keys.size, (filled, keys.size)
     keys.sort()
     keys.flags.writeable = False

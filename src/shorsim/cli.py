@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import json
 import os
+import shlex
 import sys
 from itertools import chain
 
@@ -452,7 +453,12 @@ def main(argv=None) -> int:
         # Validation failures, NotAUnitError included, are usage errors.
         print(f"shorsim: error: {exc}", file=sys.stderr)
     except MemoryError as exc:
-        print(f"shorsim: error: out of memory: {exc}", file=sys.stderr)
+        # A MemoryError raised by Python itself carries no text; name the
+        # command that ran out instead.
+        cause = str(exc) or shlex.join(
+            sys.argv[1:] if argv is None else argv
+        )
+        print(f"shorsim: error: out of memory: {cause}", file=sys.stderr)
     except BrokenPipeError:
         # Buffered text goes to devnull, so the exit's flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -211,16 +211,44 @@ def test_fraction_keys_are_read_only_int64_and_size_checked():
         auditor._fraction_keys(auditor.MAX_FRACTION_MODULUS + 1)
 
 
-def test_fraction_keys_fill_by_blocks_is_exact(monkeypatch):
+def blocked_fraction_keys(n: int, block: int) -> np.ndarray:
+    """The sorted fraction keys, built by blocks of about ``block``
+    candidates d < r over consecutive denominators, with coprimality from
+    ``np.gcd``: the build ``auditor._fraction_keys`` used before it went
+    one denominator at a time, kept as the reference."""
+    keys = np.empty(count_fractions(n), dtype=np.int64)
+    filled = 0
+    r0 = 1
+    while r0 < n:
+        # the denominators r0 .. r1 - 1 hold (r1 - r0)(r1 + r0 - 1)/2
+        # candidates, about block
+        r1 = min(n, max(r0 + 1, math.isqrt(r0 * r0 + 2 * block)))
+        counts = np.arange(r0, r1, dtype=np.int32)
+        r = np.repeat(counts, counts)
+        d = np.arange(r.size, dtype=np.int32)
+        d -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        keep = np.gcd(d, r) == 1
+        chunk = keys[filled:filled + np.count_nonzero(keep)]
+        np.left_shift(d[keep], 32, out=chunk, dtype=np.int64)
+        np.floor_divide(chunk, r[keep], out=chunk)
+        filled += chunk.size
+        r0 = r1
+    assert filled == keys.size, (filled, keys.size)
+    keys.sort()
+    return keys
+
+
+@pytest.mark.parametrize("n,block", [
+    (3, 37), (4, 37), (15, 37), (200, 37), (221, 37),
+    (1001, 1 << 20), (3233, 1 << 20),
+])
+def test_fraction_keys_equal_the_blocked_build_bytewise(n, block):
     # blocks of a few dozen candidates split the denominators at many
-    # places; the keys must not depend on where
-    want = auditor._fraction_keys(200).tolist()
-    monkeypatch.setattr(auditor, "_BLOCK", 37)
-    auditor._fraction_keys.cache_clear()
-    try:
-        assert auditor._fraction_keys(200).tolist() == want
-    finally:
-        auditor._fraction_keys.cache_clear()
+    # places; 2^20 is the block size the blocked build ran with
+    keys = auditor._fraction_keys(n)
+    want = blocked_fraction_keys(n, block)
+    assert keys.dtype == want.dtype and keys.shape == want.shape
+    assert keys.tobytes() == want.tobytes()
 
 
 def test_pair_counter_zero_at_sufficient_width():

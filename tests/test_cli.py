@@ -534,6 +534,24 @@ def test_out_of_memory_is_a_one_line_usage_exit():
     assert res.stderr.count("\n") == 1, res.stderr
 
 
+@pytest.mark.parametrize("given", [True, False])
+def test_textless_out_of_memory_names_the_command(capsys, monkeypatch,
+                                                  given):
+    # Python's own MemoryError carries no text, so the line names the
+    # command line main() was given, or sys.argv[1:] when it got none
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_spectrum", exhausted)
+    argv = ["spectrum", "--n", "21", "--x", "4", "--q", "4194304"]
+    monkeypatch.setattr(sys, "argv", ["shorsim", *argv])
+    assert main(argv if given else None) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("shorsim: error: out of memory: "
+                   "spectrum --n 21 --x 4 --q 4194304\n")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
 def test_unrepeated_dump_runs_in_256_mib_of_address_space(tmp_path):
     # r = 3 at n = 21, x = 4, so gcd(r, q) = 1 and the 2^20-row dump is a
