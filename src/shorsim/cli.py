@@ -13,6 +13,9 @@ double-precision noise.
 ``_emit`` writes every table, given as columns: a list of values, a numpy
 array or a range of ints, per key. The writers take a block of rows at a
 time and format each column's cells in it with one call, not one per cell.
+A numpy array of bools, ints or floats, as a spectrum dump's columns are,
+is turned into its texts by one C-level call per block; the .12g text of
+each of its floats is made once and, in JSON, reused as the JSON text.
 The first column has a value per row; the others may hold one period of
 values, as a spectrum dump's hold q/g values of c (g = gcd(r, q)). Each
 block of the period is formatted once, into a template that lacks only the
@@ -75,17 +78,73 @@ def _listed(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
+_BOOL_TEXT = ("false", "true")
+# One cell of an int or a float array, as ``_cell`` spells its value.
+_TEMPLATE = {"i": "%d\n", "u": "%d\n", "f": "%.12g\n"}
+# The least positive normal double. A subnormal one holds fewer than 12
+# digits, so its .12g text can read back as another double.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _kind(values) -> str:
+    """The dtype kind ("b", "i", "u" or "f") of an array whose ``tolist``
+    gives Python bools, ints or floats; "" for any other column."""
+    if not isinstance(values, np.ndarray):
+        return ""
+    kind = values.dtype.kind
+    if kind in "biu" or kind == "f" and values.dtype.itemsize <= 8:
+        return kind
+    return ""
+
+
+def _text(values: np.ndarray, kind: str) -> str:
+    """Each value's cell, ended by a newline, all made by one ``%``."""
+    return _TEMPLATE[kind] * len(values) % tuple(values.tolist())
+
+
+def _typed_cells(values: np.ndarray, kind: str) -> list:
+    """The cells of an array of ``_kind`` ``kind``, from one C-level call."""
+    if kind == "b":
+        return [_BOOL_TEXT[v] for v in values.tolist()]
+    return _text(values, kind).split("\n")[:-1]
+
+
 def _cells(values) -> list:
+    """``_cell``'s text of each value.
+
+    A bool, int or float array, as a spectrum dump's period columns are,
+    takes one C-level call for the whole block, not one ``_cell`` per
+    value.
+    """
+    kind = _kind(values)
+    if kind:
+        return _typed_cells(values, kind)
     return list(map(_cell, _listed(values)))
 
 
 def _json_cells(values) -> list:
     """JSON text of each value; a float is first rounded to 12 digits.
 
-    One ``json.dumps`` call encodes the whole column, with newline as the
+    Bool and int arrays are spelled as ``_cells`` spells them. A float
+    array's .12g texts are made once: t is ``json.dumps(float(t))`` with
+    ".0" added when it has no "." or "e", provided every value is zero or
+    a finite normal double and no t reads "e+" (|v| rounds to 1e12 or
+    more, which ``json.dumps`` writes in full). Any other column is
+    rounded, then encoded by one ``json.dumps`` call, with newline as the
     item separator: JSON text of a scalar never contains a raw newline
     (strings escape it), so splitting on it recovers each value's text.
     """
+    kind = _kind(values)
+    if kind == "f":
+        text = _text(values, kind)
+        magnitude = np.abs(values)
+        if "e+" not in text and np.all(
+                (magnitude == 0)
+                | (magnitude >= _TINY) & np.isfinite(magnitude)):
+            return [t if "." in t or "e" in t else t + ".0"
+                    for t in text.split("\n")[:-1]]
+    elif kind:
+        return _typed_cells(values, kind)
     values = _listed(values)
     if any(issubclass(t, float) for t in set(map(type, values))):
         values = [float(f"{v:.12g}") if isinstance(v, float) else v

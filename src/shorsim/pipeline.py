@@ -255,7 +255,8 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _child_seeds(master: np.random.SeedSequence, start: int, count: int):
+# Quoted, so that defining it does not import numpy.random (~10 ms).
+def _child_seeds(master: "np.random.SeedSequence", start: int, count: int):
     """``generate_state(4, np.uint64)`` of ``count`` of master's children.
 
     The children are the ones ``master.spawn`` would number

@@ -335,7 +335,8 @@ class SpectrumTable:
             c, lo, hi = self.inverse_cdf(u, v)
         return c, rng.integers(lo, hi)
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+    # Quoted, so that defining it does not import numpy.random (~10 ms).
+    def sample(self, rng: "np.random.Generator") -> tuple[int, int]:
         """Draw (c, k) with probability P(c, k), as Python ints.
 
         ``int`` of ``draw(rng)``, whose docstring gives the stream layout.

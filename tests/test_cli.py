@@ -38,6 +38,22 @@ def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE, **env):
     )
 
 
+def test_import_loads_numpy_random_only_as_numpy_does():
+    # numpy.random takes ~10 ms to import, and audit, spectrum and
+    # verify-bounds never use it. Some numpy versions import it with numpy
+    # itself, so the check is against numpy's own behaviour.
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import shorsim; print(before, 'numpy.random' in sys.modules)")
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 def test_simulate_single_trace_reproducible():
     a = run_cli("simulate", "--n", "15", "--x", "7", "--trials", "1",
                 "--seed", "9")

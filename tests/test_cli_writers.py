@@ -14,6 +14,13 @@ once, with only the first column's fields left, and fills it once per
 period. The dumps are also written with blocks that divide no period, and
 small tables with ``%`` in their cells, a single column or a period
 repeated, are checked against the reference in every format.
+
+``cli._cells`` and ``cli._json_cells`` spell a bool, int or float array
+with one C-level call, and JSON reuses a float's .12g text. Both are
+checked value by value against ``ref_cell`` and ``json.dumps`` of the
+rounded float, on generated arrays and on the floats where the reuse must
+fall back: NaN, infinities, subnormals and values that round to 1e12 or
+more.
 """
 
 import contextlib
@@ -23,6 +30,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shorsim import cli
 from shorsim.spectrum import FactoringInstance, build_spectrum
@@ -190,6 +200,15 @@ TABLES = {
         "v": np.array([True, False, True, True]),
         "f": [0.5, None, "%d", 2],
     },
+    # A float array, repeated twice. With blocks of 3 rows, JSON spells
+    # the first block from its .12g texts, while NaN, inf, a subnormal
+    # and a value that rounds to 1e12 send the others to json.dumps.
+    "float-array": {
+        "c": range(18),
+        "x": np.array([0.5, -0.0, 3.0, math.nan, -math.inf, 5e-324,
+                       1e12, 1 / 3, 2.0**-1022]),
+        "k": np.arange(-4, 5),
+    },
 }
 
 
@@ -272,22 +291,91 @@ def test_writers_bound_the_text_formatted_at_once(monkeypatch):
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_spectrum_formats_one_period_of_cells(fmt, monkeypatch):
     # (221, 2, 4096): r = 24 and gcd(r, q) = 8, so the period p is 512 of
-    # q = 4096 values of c. Every cell the dump formats passes through
-    # _cell or _json_cells; the summary adds two.
+    # q = 4096 values of c. Every column of cells the dump formats passes
+    # through _cells or _json_cells; the summary adds two, through _cell
+    # or _json_cells.
     counted = []
-    cell, json_cells = cli._cell, cli._json_cells
+    cell, cells, json_cells = cli._cell, cli._cells, cli._json_cells
 
     def counting_cell(v):
         counted.append(1)
         return cell(v)
+
+    def counting_cells(values):
+        counted.append(len(values))
+        return cells(values)
 
     def counting_json_cells(values):
         counted.append(len(values))
         return json_cells(values)
 
     monkeypatch.setattr(cli, "_cell", counting_cell)
+    monkeypatch.setattr(cli, "_cells", counting_cells)
     monkeypatch.setattr(cli, "_json_cells", counting_json_cells)
     code, out = run(["spectrum", "--n", "221", "--x", "2", "--q", "4096",
                      "--format", fmt])
     assert code == 0 and out.count("\n") > 4096
     assert sum(counted) <= 3 * 512 + 2
+
+
+def ref_json_cell(v) -> str:
+    return json.dumps(float(f"{v:.12g}") if isinstance(v, float) else v)
+
+
+# Rounded to 12 digits, 999999999999.4 stays below 1e12 and .6 reaches it;
+# 1e16 and up are where repr, and so json.dumps, turns to exponents.
+EDGE_FLOATS = [0.0, -0.0, 1.0, 5e-324, 2.0**-1022, 999999999999.4,
+               999999999999.6, 1e12, 1e16, 1e17, math.nan, math.inf,
+               -math.inf]
+FLOATS = st.one_of(
+    st.floats(width=64),
+    st.floats(min_value=-1e13, max_value=1e13),
+    st.integers(-10**12, 10**12).map(float),
+    st.sampled_from(EDGE_FLOATS),
+)
+TYPED_ARRAYS = st.one_of(
+    arrays(np.float64, st.integers(0, 12), elements=FLOATS),
+    arrays(np.float32, st.integers(0, 12), elements=st.floats(width=32)),
+    arrays(np.int64, st.integers(0, 12)),
+    arrays(np.uint64, st.integers(0, 12),
+           elements=st.integers(0, 2**64 - 1)),
+    arrays(np.bool_, st.integers(0, 12)),
+)
+
+
+def check_typed_cells(a: np.ndarray) -> None:
+    assert cli._cells(a) == [ref_cell(v) for v in a.tolist()]
+    assert cli._json_cells(a) == [ref_json_cell(v) for v in a.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(TYPED_ARRAYS)
+def test_typed_cells_equal_the_per_value_cells(a):
+    check_typed_cells(a)
+
+
+@pytest.mark.parametrize("v", EDGE_FLOATS, ids=repr)
+def test_typed_cells_spell_edge_floats_as_the_per_value_cells(v):
+    # Alone, and in a block whose other values JSON spells from the text.
+    check_typed_cells(np.array([v]))
+    check_typed_cells(np.array([0.25, v, 3.0]))
+
+
+def test_spectrum_json_period_columns_skip_json_dumps(monkeypatch):
+    # (21, 4, 512): r = 3, so the period is all 512 rows, in one block.
+    # json.dumps spells the 4 keys and the summary's 2 keys and 2 values;
+    # the typed path spells every cell of the 512 rows.
+    calls = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    code, out = run(["spectrum", "--n", "21", "--x", "4", "--q", "512",
+                     "--format", "structured-record"])
+    monkeypatch.undo()
+    assert (code, out) == (0, ref_spectrum(21, 4, 512, "structured-record"))
+    assert len(calls) == 4 + 2 + 2
+    assert all(isinstance(obj, str) or len(obj) == 1 for obj in calls)
