@@ -50,7 +50,6 @@ from .spectrum import (
     build_spectrum,
     good_c_set,
     integral_term,
-    joint_probability,
     verify_bounds,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "factorize",
     "good_c_set",
     "integral_term",
-    "joint_probability",
     "recover_rational",
     "run_once",
     "run_trials",

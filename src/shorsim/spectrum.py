@@ -50,6 +50,7 @@ it.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -126,28 +127,9 @@ def _kernel(m, abs_t, q: int, sin=math.sin):
     return num / sin(math.pi * abs_t / q) ** 2
 
 
-def _signed_residues(r: int, q: int) -> np.ndarray:
-    """{r c}_q in (-q/2, q/2] for c in one period [0, q / gcd(r, q))."""
-    p = q // math.gcd(r, q)
-    return nt.signed_residue((r % q) * np.arange(p, dtype=np.int64), q)
-
-
 def _all_copies(idx: np.ndarray, p: int, copies: int) -> np.ndarray:
     """Every c in [0, copies * p) with c mod p in ``idx``, ascending."""
     return (idx + p * np.arange(copies)[:, None]).ravel()
-
-
-def joint_probability(
-    instance: FactoringInstance, q: int, c: int, k: int
-) -> float:
-    """Exact probability of observing the pair (c, k).
-
-    Evaluated through the closed form of the geometric sum:
-    (1/q^2) * sin^2(pi m_k r c / q) / sin^2(pi r c / q) when rc is not a
-    multiple of q, and (m_k / q)^2 otherwise. The overall phase of the sum
-    has magnitude 1 and is dropped. q is checked first, then k, then c.
-    """
-    return SpectrumTable(q=q, r=instance.r).joint(c, k)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -159,11 +141,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class SpectrumTable:
     """Measurement distribution over c for one instance, stored as one period.
 
-    The fields are (q, r) alone, and q must be a power of two. Every per-c
-    quantity repeats with period p = q/gcd(r, q) in c, so the table holds
-    c in [0, p) only, and c in [0, q) reads row c mod p. Its period
-    columns are computed when first read and kept read-only:
-    ``period_marginals[c]`` sums the joint probability over all k, built
+    The fields are (q, r) alone. The order r must be at least 1 and is
+    checked first, so no column holds a negative or undefined probability;
+    q must be a power of two. Every per-c quantity repeats with period
+    p = q/gcd(r, q) in c, so the table holds c in [0, p) only, and c in
+    [0, q) reads row c mod p. ``rows()`` walks the period once per copy,
+    with no q-long list. Its period columns are computed when first read
+    and kept read-only: ``period_marginals[c]`` sums the joint probability over all k, built
     chunk by chunk over rows [0, p/2] and mirrored onto (p/2, p);
     ``period_residues[c]`` is {r c}_q in (-q/2, q/2]; ``good_rows`` lists
     the rows with |{r c}_q| <= r/2, found in O(r) without the residues,
@@ -191,6 +175,8 @@ class SpectrumTable:
     r: int
 
     def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"order must be >= 1, got {self.r}")
         if self.q < 2 or self.q & (self.q - 1):
             raise ValueError(f"q must be a power of two >= 2, got {self.q}")
 
@@ -202,7 +188,9 @@ class SpectrumTable:
     @cached_property
     def period_residues(self) -> np.ndarray:
         """{r c}_q in (-q/2, q/2] for c in [0, p)."""
-        return _read_only(_signed_residues(self.r, self.q))
+        q, r = self.q, self.r
+        c = np.arange(q // math.gcd(r, q), dtype=np.int64)
+        return _read_only(nt.signed_residue(r % q * c, q))
 
     @cached_property
     def good_rows(self) -> np.ndarray:
@@ -454,20 +442,20 @@ class SpectrumTable:
         """(c, marginal_probability, signed_residue, good_flag) over [0, q).
 
         Python int, float, int and bool: each period array is converted by
-        ``tolist`` once and repeated once per period.
+        ``tolist`` once, and that one list is walked once per period.
         """
         copies = self.q // len(self.period_marginals)
         return zip(range(self.q), *(
-            period.tolist() * copies for period in
+            chain.from_iterable(repeat(period.tolist(), copies)) for period in
             (self.period_marginals, self.period_residues, self.period_flags)
         ))
 
     def _tiled(self, period: np.ndarray) -> np.ndarray:
         """``period`` tiled to length q, read-only; a view if q long."""
         copies = self.q // len(period)
-        full = np.broadcast_to(period, (copies, len(period))).reshape(self.q)
-        full.setflags(write=False)
-        return full
+        return _read_only(
+            np.broadcast_to(period, (copies, len(period))).reshape(self.q)
+        )
 
     @cached_property
     def marginals(self) -> np.ndarray:
@@ -507,11 +495,13 @@ class SpectrumTable:
 def build_spectrum(instance: FactoringInstance, q: int) -> SpectrumTable:
     """The measurement distribution over c for ``instance`` at width q.
 
-    Returns ``SpectrumTable(q=q, r=instance.r)``, which checks that q is a
-    power of two and computes each period column (marginals, residues,
-    good flags) when it is first read, for one period of q/gcd(r, q) values
-    of c. No array of length q is allocated unless gcd(r, q) = 1, where the
-    period is the whole table.
+    Returns ``SpectrumTable(q=q, r=instance.r)``, which checks r >= 1 (an
+    instance's order is always >= 2) and that q is a power of two, and
+    computes each period column (marginals, residues, good flags) when it
+    is first read, for one period of q/gcd(r, q) values of c. No array of
+    length q is allocated unless gcd(r, q) = 1, where the period is the
+    whole table.
+    One pair's probability is ``build_spectrum(instance, q).joint(c, k)``.
     """
     return SpectrumTable(q=q, r=instance.r)
 
@@ -523,10 +513,8 @@ def good_c_set(r: int, q: int) -> set[int]:
     recovered; there are exactly r of them whenever r <= q. For tiny q the
     set degenerates: with q = 2 every c is good for any even-q-multiple
     order, which is precisely why a two-valued observable carries no order
-    information.
+    information. The table checks r >= 1 before q, as for any order.
     """
-    if r < 1:
-        raise ValueError(f"order must be >= 1, got {r}")
     rows = SpectrumTable(q=q, r=r).good_rows
     copies = math.gcd(r, q)
     return set(_all_copies(rows, q // copies, copies).tolist())

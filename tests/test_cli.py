@@ -605,8 +605,8 @@ def test_table_free_simulate_runs_in_128_mib_of_address_space(n, x):
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
 def test_single_width_audit_runs_in_192_mib_of_address_space():
     # n = 3233 has 3 175 768 reduced fractions among 5.2 million
-    # candidates d < r: the 24 MiB of keys are built by blocks of
-    # denominators, so no array as long as the candidates is held
+    # candidates d < r: the 24 MiB of keys are built one denominator at a
+    # time, so no array as long as the candidates is held
     res = run_capped(192 << 20, "audit", "--n", "3233", "--s", "10",
                      "--reg2", "12")
     assert res.returncode == 2, res.stderr

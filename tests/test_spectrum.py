@@ -24,7 +24,6 @@ from shorsim import (
     build_spectrum,
     good_c_set,
     integral_term,
-    joint_probability,
     verify_bounds,
 )
 from shorsim import numtheory as nt
@@ -68,7 +67,7 @@ def test_joint_probability_matches_brute_force(n, x, q):
     assert oracle.shape[0] == instance.r
     for k in range(instance.r):
         for c in range(q):
-            fast = joint_probability(instance, q, c, k)
+            fast = build_spectrum(instance, q).joint(c, k)
             assert fast == pytest.approx(oracle[k, c], abs=1e-10)
 
 
@@ -100,30 +99,41 @@ def test_spectrum_r2_support():
 
 def test_joint_probability_examples():
     instance = FactoringInstance.create(15, 7)
-    assert joint_probability(instance, 256, 64, 0) == 0.0625
-    assert joint_probability(instance, 256, 1, 0) == 0.0
-    assert joint_probability(instance, 256, 0, 0) == 0.0625
+    assert build_spectrum(instance, 256).joint(64, 0) == 0.0625
+    assert build_spectrum(instance, 256).joint(1, 0) == 0.0
+    assert build_spectrum(instance, 256).joint(0, 0) == 0.0625
 
 
 def test_joint_probability_range_errors():
+    # q is refused first, at construction, then k, then c
     instance = FactoringInstance.create(15, 7)
-    with pytest.raises(ValueError):
-        joint_probability(instance, 256, 0, 4)
-    with pytest.raises(ValueError):
-        joint_probability(instance, 256, 256, 0)
-    with pytest.raises(ValueError):
-        joint_probability(instance, 255, 0, 0)
+    with pytest.raises(ValueError, match="k must be in"):
+        build_spectrum(instance, 256).joint(0, 4)
+    with pytest.raises(ValueError, match="c must be in"):
+        build_spectrum(instance, 256).joint(256, 0)
+    with pytest.raises(ValueError, match="q must be a power of two"):
+        build_spectrum(instance, 255).joint(256, 4)
+    with pytest.raises(ValueError, match="k must be in"):
+        build_spectrum(instance, 256).joint(256, 4)
 
 
 def test_table_joint_agrees_with_direct_formula():
+    # the closed form written out: sin^2(pi m t/q) / sin^2(pi t/q) / q^2
+    # with t = {r c}_q and m = m_k, and m^2/q^2 where t = 0
     instance = FactoringInstance.create(21, 2)
-    q = 512
+    q, r = 512, instance.r
     table = build_spectrum(instance, q)
     for c in (0, 1, 85, 86, 256, 300, 511):
-        for k in range(instance.r):
-            assert table.joint(c, k) == pytest.approx(
-                joint_probability(instance, q, c, k), abs=1e-15
-            )
+        t = (r * c + q // 2) % q - q // 2
+        for k in range(r):
+            m = (q - k - 1) // r + 1
+            if t == 0:
+                direct = m**2 / q**2
+            else:
+                direct = (math.sin(math.pi * m * t / q) ** 2
+                          / math.sin(math.pi * t / q) ** 2 / q**2)
+            assert table.joint(c, k) == pytest.approx(direct, abs=1e-15), (
+                c, k)
 
 
 def test_good_c_set_examples():
@@ -492,7 +502,7 @@ def flag_scan_bounds(instance: FactoringInstance, q: int) -> dict:
         approx = integral_term(abs(int(residues[c])) / r, r)
         min_integral = min(min_integral, approx)
         for k in {0, q % r}:
-            p = joint_probability(instance, q, c, k)
+            p = build_spectrum(instance, q).joint(c, k)
             p_min = min(p_min, p)
             max_gap = max(max_gap, abs(math.sqrt(p) - approx))
     return {"p_min": p_min, "min_integral_term": min_integral,
@@ -536,6 +546,22 @@ def test_spectrum_table_requires_a_power_of_two_q():
         SpectrumTable(q=12, r=3)
 
 
+@pytest.mark.parametrize("r", [0, -3])
+def test_spectrum_table_refuses_an_order_below_one(r):
+    # r = -3 would give a first marginal of -1/3, and r = 0 a division by
+    # zero; the order is checked before q
+    for q in (256, 12):
+        with pytest.raises(ValueError, match=f"^order must be >= 1, got {r}$"):
+            SpectrumTable(q=q, r=r)
+
+
+def test_good_c_set_refuses_an_order_below_one():
+    with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+        good_c_set(0, 8)
+    with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+        good_c_set(0, 12)
+
+
 def test_cumulative_at_support_equals_support_cumsum():
     # cumulative spans one period; at the period's support it equals the
     # cumsum of the period marginals gathered there
@@ -559,6 +585,22 @@ def test_rows_equal_the_tiled_arrays():
             table.signed_residues.tolist(), table.good_flags.tolist(),
         )), (r, q)
         assert [type(v) for v in rows[-1]] == [int, float, int, bool]
+
+
+def test_rows_hold_no_q_long_list():
+    # r = 24 at q = 2^20: a period of 2^17 rows, walked 8 times. Three
+    # q-long lists of pointers alone would take 3 * 8 q bytes; the period
+    # columns and their lists take about half of that.
+    q = 1 << 20
+    tracemalloc.start()
+    try:
+        rows = SpectrumTable(q=q, r=24).rows()
+        first = next(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[0] == 0 and first[2:] == (0, True)
+    assert peak < 3 * 8 * q, peak
 
 
 def test_table_paths_allocate_less_than_one_q_length_array():
