@@ -92,11 +92,12 @@ class AuditCheck:
 
 # Largest modulus the pair counter accepts. Up to it, every q = 2^s below
 # n^2 has s <= 31, so the counter's shift 32 - s is at least 1, and each
-# key's numerator d 2^32 < 2^48 fits int64. The keys take 8 bytes per
-# fraction (about 0.3 n^2 fractions: 24 MB at n = 3233, 5 GB near this
-# n); the build adds one row of fewer than n candidates d < r at a time,
-# and each pass 9 bytes per fraction below c = q and then 16 per distinct
-# c, so in practice memory sets the limit well below it.
+# key's numerator d 2^32 < 2^48 fits int64. Only the fractions up to 1/2
+# are keyed, at 4 bytes each: 2 bytes per fraction (about 0.3 n^2
+# fractions: 6 MB at n = 3233, 63 MiB at n = 10403, ~1.3 GB near this n,
+# where 8-byte keys of every fraction took ~5 GB). The build adds one row
+# of at most n/2 + 1 candidates d <= r/2 at a time, and a pass holds
+# O(``_CHUNK``) more, so in practice memory sets the limit below it.
 MAX_FRACTION_MODULUS = 46341
 
 
@@ -117,36 +118,45 @@ def count_fractions(n: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _fraction_keys(n: int) -> np.ndarray:
-    """floor(d 2^32 / r) for every reduced fraction d/r in [0, 1) with r < n.
+    """floor(d 2^32 / r) for every reduced fraction d/r <= 1/2 with r < n.
 
-    One int64 key per fraction, ascending and read-only. Distinct fractions
-    with r < n differ by more than 2^-32, so the keys are distinct and
-    their order is the fractions' order. The keys are written one
-    denominator r at a time: the units d < r are the indices left after
-    clearing every p-th one for each prime p of ``nt.factorize(r)`` (0/1
-    is the only fraction with d = 0). They fill an array of exactly
-    ``count_fractions(n)`` entries, so the sieve and the factoriser check
-    each other, and are then sorted in place. The keys do not depend on
-    q, so they are built once per n, and only the few most recent n are
-    kept: about 0.3 n^2 keys at 8 bytes each, 2.4 MB at n = 1001.
+    One uint32 key per fraction, ascending and read-only: d/r <= 1/2 gives
+    keys up to 2^31. Distinct fractions with r < n differ by more than
+    2^-32, so the keys are distinct and their order is the fractions'
+    order. The fractions above 1/2 are the mirror images 1 - d/r of those
+    below it, so for n >= 3 there are (``count_fractions(n)`` + 2)/2 keys:
+    0/1, 1/2 and half of the rest. The keys are written one denominator r
+    at a time: the units d <= r/2 are the indices left after clearing
+    every p-th one for each prime p of ``nt.factorize(r)`` (0/1 is the only
+    fraction with d = 0). They fill an array of exactly that many entries,
+    so the sieve and the factoriser check each other, and are then sorted
+    in place. The keys do not depend on q, so they are built once per n,
+    and only the few most recent n are kept: about 0.15 n^2 keys at 4
+    bytes each, 608 KB at n = 1001.
     """
     if n > MAX_FRACTION_MODULUS:
         raise ValueError(
             f"the fraction list supports n <= {MAX_FRACTION_MODULUS}, got {n}"
         )
-    keys = np.empty(count_fractions(n), dtype=np.int64)
+    keys = np.empty((count_fractions(n) + 2) // 2, dtype=np.uint32)
     filled = 0
     for r in range(1, n):
-        units = np.ones(r, dtype=bool)
+        units = np.ones(r // 2 + 1, dtype=bool)
         for p in nt.factorize(r):
             units[::p] = False
-        d = np.flatnonzero(units).astype(np.int64, copy=False)
+        d = np.flatnonzero(units)
         keys[filled:filled + d.size] = (d << 32) // r
         filled += d.size
     assert filled == keys.size, (filled, keys.size)
     keys.sort()
     keys.flags.writeable = False
     return keys
+
+
+# Keys per step of the pair count's pass: 2^16, so that the chunk, its
+# uint32 buckets and its run starts (256 KB, 256 KB and up to 512 KB) stay
+# in a core's cache.
+_CHUNK = 1 << 16
 
 
 def count_indistinguishable_pairs(n: int, q: int) -> int:
@@ -160,40 +170,71 @@ def count_indistinguishable_pairs(n: int, q: int) -> int:
     between neighbouring grid points, which distinct fractions cannot, so
     nothing is double counted. For q >= n^2 the count is provably zero:
     distinct candidate fractions differ by more than 1/(n-1)^2 > 1/q, and
-    no fraction list is built. q must be a power of two.
+    no fraction list is built. For n < 3 the only fraction is 0/1, so the
+    count is zero too. q must be a power of two.
 
     The c consistent with d/r satisfy |2cr - 2dq| <= r, the integers from
     lo = ceil(dq/r - 1/2) to hi = floor(dq/r + 1/2). With q = 2^s and
     sh = 32 - s (at least 1, since s <= 31 whenever q < n^2 and
     n <= ``MAX_FRACTION_MODULUS``), hi = (y + 2^(sh-1)) >> sh for the
     cached key y = floor(d 2^32 / r): adding an integer and flooring by
-    2^sh commutes with the floor inside y. The keys ascend, so hi does
-    too, one searchsorted drops hi = q (outside the register), and the
-    fractions with hi = c form one run: sum C(run, 2) needs no division
-    and no array of length q. lo < hi only when d/r = (2c+1)/(2q), which
-    in lowest terms has r = 2q, so such midpoint fractions exist only when
-    2q < n. Then there is exactly one for each c < q (d = 2c + 1), counted
-    in its run at hi = c + 1 and again at lo = c, so each k_c is its run
-    length h plus 1, and C(h + 1, 2) - C(h, 2) = h sums to the number of
-    fractions with hi < q.
+    2^sh commutes with the floor inside y. For q >= 2, y + 2^(sh-1) is at
+    most 2^31 + 2^30, so hi is computed in uint32. lo < hi only when
+    d/r = (2c+1)/(2q), which in lowest terms has r = 2q, so such midpoint
+    fractions exist only when 2q < n. Then there is exactly one for each
+    c < q, in c's window and in c + 1's. Write m = 1 when 2q < n, else 0.
+
+    Only the fractions f <= 1/2 are keyed. f -> 1 - f maps the fractions
+    in (0, 1) onto themselves and the window of c onto that of q - c,
+    while 0/1 lies only in the window of c = 0, so k_c = k_(q-c) for
+    0 < c < q. For q >= 2 the keyed hi ascend from 0 to q/2, so the keys
+    with equal hi form one run of length R_h, and:
+      - 0 < c < q/2: k_c = R_c + m, its run plus the midpoint
+        (2c+1)/(2q), whose hi is c + 1; the same for k_(q-c);
+      - c = 0: k_0 = R_0 + m, where R_0 holds 0/1;
+      - c = q/2: the last run holds 1/2 and the keyed fractions within
+        1/(2q) below it; their mirrors above 1/2 are all the rest of
+        c's window, so k_(q/2) = 2 R_last - 1.
+    So the count is C(R_0 + m, 2) + 2 sum C(R_c + m, 2) over the middle
+    runs + C(2 R_last - 1, 2), and an empty bucket adds C(m, 2) = 0. With
+    M keys in the middle runs, 2 sum C(R_c + m, 2) = sum R_c^2 + (2m - 1) M
+    (m^2 = m). At q = 1 the one window, c = 0, holds every keyed fraction
+    and no other.
+
+    The pass takes hi over ``_CHUNK`` keys at a time, each chunk with the
+    last key of the one before, so every run start is found once, wherever
+    it falls. The open run is carried across chunks as the index of its
+    first key and closed at the next start. The pass needs no division, no
+    q-long array and O(``_CHUNK``) memory; R_0 is one binary search.
     """
     if q < 1 or q & (q - 1):
         raise ValueError(f"q must be a power of two, got {q}")
-    if q >= n * n:
+    if q >= n * n or n < 3:
         return 0
     sh = 33 - q.bit_length()
     half = 1 << (sh - 1)
     keys = _fraction_keys(n)
-    keys = keys[:np.searchsorted(keys, (1 << 32) - half)]
-    hi = keys + half
-    hi >>= sh
-    # True at the first fraction of each run, and once past the last
-    starts = np.ones(hi.size + 1, dtype=bool)
-    np.not_equal(hi[1:], hi[:-1], out=starts[1:-1])
-    del hi
-    runs = np.diff(np.flatnonzero(starts))
-    pairs = (int(runs @ runs) - keys.size) // 2
-    return pairs + keys.size if 2 * q < n else pairs
+    if q == 1:  # one window, [-1/2, 1/2], holding every keyed fraction
+        return keys.size * (keys.size - 1) // 2
+    squares = 0  # sum of R^2 over the closed runs
+    start = 0  # index of the open run's first key
+    for i in range(0, keys.size, _CHUNK):
+        base = max(i - 1, 0)
+        hi = keys[base:i + _CHUNK] + half
+        hi >>= sh
+        starts = np.flatnonzero(hi[1:] != hi[:-1])
+        if starts.size:
+            starts += base + 1
+            runs = starts[1:] - starts[:-1]
+            squares += (int(starts[0]) - start) ** 2 + int(runs @ runs)
+            start = int(starts[-1])
+    first = int(np.searchsorted(keys, np.uint32(half)))  # hi = 0
+    last = keys.size - start
+    m = int(2 * q < n)
+    middle = keys.size - first - last
+    pairs = squares - first * first + (2 * m - 1) * middle
+    pairs += (first + m) * (first + m - 1) // 2
+    return pairs + (2 * last - 1) * (2 * last - 2) // 2
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,10 @@ def test_pair_counter_matches_definition(n, s):
     )
     assert count_fractions(n) == totient_sieve_fractions(n)
     keys = auditor._fraction_keys(n)
+    assert keys.dtype == np.uint32
     assert keys.tolist() == [
         f.numerator * 2**32 // f.denominator
-        for f in sorted(reduced_fractions(n))
+        for f in sorted(reduced_fractions(n)) if f <= Fraction(1, 2)
     ]
 
 
@@ -147,23 +148,67 @@ def test_pair_counter_matches_bincount_at_every_grid_width(n):
 def test_midpoint_fractions_are_the_odd_multiples_of_one_over_2q(n, s):
     # lo = ceil(dq/r - 1/2) < hi = floor(dq/r + 1/2) exactly at the q
     # fractions (2c + 1)/(2q), one per c < q, when 2q < n, and nowhere
-    # else; hi is the shift of the fraction's key
+    # else; hi is the shift of the fraction's key floor(d 2^32 / r), here
+    # over every fraction in [0, 1). The mirror 1 - f of f > 0 has
+    # hi = q - lo(f): q - hi(f), plus 1 at the midpoints
     q = 1 << s
     sh = 32 - s
-    keys = auditor._fraction_keys(n).tolist()
+    fractions = sorted(reduced_fractions(n))
+    his = {f: (f.numerator * 2**32 // f.denominator + (1 << (sh - 1))) >> sh
+           for f in fractions}
     midpoints = {}
-    for f, key in zip(sorted(reduced_fractions(n)), keys):
+    for f, hi in his.items():
         lo = math.ceil(f * q - Fraction(1, 2))
-        hi = math.floor(f * q + Fraction(1, 2))
-        assert hi == (key + (1 << (sh - 1))) >> sh
+        assert hi == math.floor(f * q + Fraction(1, 2))
         if lo != hi:
             assert hi == lo + 1
             midpoints[f] = lo
+    for f in fractions[1:]:
+        assert his[1 - f] == q - his[f] + (f in midpoints)
     if 2 * q < n:
         assert midpoints == {Fraction(2 * c + 1, 2 * q): c for c in range(q)}
     else:
         assert midpoints == {}
     assert count_indistinguishable_pairs(n, q) == definition_pairs(n, q)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_pair_counter_carries_runs_across_any_chunk_size(monkeypatch, chunk):
+    # chunks of one, two and seven keys put a chunk boundary inside, at
+    # the start and at the end of runs of every length, and inside the
+    # first and the last run; q = 1 and the midpoint widths 2q < n included
+    monkeypatch.setattr(auditor, "_CHUNK", chunk)
+    for n in (3, 4, 5, 9, 17, 33, 64, 65, 129, 150):
+        for s in range((n * n - 1).bit_length()):
+            assert count_indistinguishable_pairs(n, 1 << s) == (
+                definition_pairs(n, 1 << s)), (n, s)
+    for s in range(1, 2 * (221 - 1).bit_length() + 2):
+        assert count_indistinguishable_pairs(221, 1 << s) == (
+            bincount_pairs(221, 1 << s)), s
+
+
+def test_pair_counter_carries_runs_across_small_chunks_at_n1001(
+        monkeypatch):
+    # every bench width at n = 1001, its 152 097 keys in 7-key chunks
+    monkeypatch.setattr(auditor, "_CHUNK", 7)
+    for s in range(1, 2 * (1001 - 1).bit_length() + 2):
+        assert count_indistinguishable_pairs(1001, 1 << s) == (
+            bincount_pairs(1001, 1 << s)), s
+
+
+def test_pair_counter_at_n1001_s17():
+    # at the default chunk, a new run starts at the first key of the
+    # second and the third chunk, where the run carried from the chunk
+    # before must close
+    assert auditor._CHUNK == 1 << 16
+    pairs = count_indistinguishable_pairs(1001, 1 << 17)
+    assert pairs == bincount_pairs(1001, 1 << 17) == 289336
+
+
+def test_pair_counter_at_n2_has_no_pairs():
+    # 0/1 is the only fraction with r < 2, and there is no 1/2
+    assert count_indistinguishable_pairs(2, 2) == 0
+    assert definition_pairs(2, 2) == brute_pairs(2, 2) == 0
 
 
 def test_pair_counter_shift_headroom_at_the_largest_modulus():
@@ -204,9 +249,10 @@ def test_audit_at_sufficient_width_builds_no_fraction_list():
     assert auditor._fraction_keys.cache_info().misses == misses
 
 
-def test_fraction_keys_are_read_only_int64_and_size_checked():
+def test_fraction_keys_are_read_only_uint32_and_size_checked():
     keys = auditor._fraction_keys(15)
-    assert keys.dtype == np.int64 and not keys.flags.writeable
+    assert keys.dtype == np.uint32 and not keys.flags.writeable
+    assert keys.size == (count_fractions(15) + 2) // 2
     with pytest.raises(ValueError, match="fraction list supports n <="):
         auditor._fraction_keys(auditor.MAX_FRACTION_MODULUS + 1)
 
@@ -244,9 +290,11 @@ def blocked_fraction_keys(n: int, block: int) -> np.ndarray:
 ])
 def test_fraction_keys_equal_the_blocked_build_bytewise(n, block):
     # blocks of a few dozen candidates split the denominators at many
-    # places; 2^20 is the block size the blocked build ran with
+    # places; 2^20 is the block size the blocked build ran with. Only the
+    # fractions up to 1/2, key 2^31, are kept, as uint32
     keys = auditor._fraction_keys(n)
     want = blocked_fraction_keys(n, block)
+    want = want[want <= 2**31].astype(np.uint32)
     assert keys.dtype == want.dtype and keys.shape == want.shape
     assert keys.tobytes() == want.tobytes()
 

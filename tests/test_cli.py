@@ -603,15 +603,29 @@ def test_table_free_simulate_runs_in_128_mib_of_address_space(n, x):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
-def test_single_width_audit_runs_in_192_mib_of_address_space():
+def test_single_width_audit_runs_in_136_mib_of_address_space():
     # n = 3233 has 3 175 768 reduced fractions among 5.2 million
-    # candidates d < r: the 24 MiB of keys are built one denominator at a
-    # time, so no array as long as the candidates is held
-    res = run_capped(192 << 20, "audit", "--n", "3233", "--s", "10",
+    # candidates d < r: the 6 MiB of keys, for the 1 587 885 fractions up
+    # to 1/2, are built one denominator at a time, so no array as long as
+    # the candidates is held. The audit needs about 108 MiB; with 8-byte
+    # keys of every fraction it failed under 144 MiB
+    res = run_capped(136 << 20, "audit", "--n", "3233", "--s", "10",
                      "--reg2", "12")
     assert res.returncode == 2, res.stderr
     assert ("       q = 1024  n_squared = 10452289  fraction_count = 3175768"
             "  indistinguishable_pairs = 4924477211\n") in res.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_n10403_audit_runs_in_256_mib_of_address_space():
+    # 16 445 531 of the 32 891 060 reduced fractions lie up to 1/2; their
+    # 4-byte keys take 63 MiB and the pass over them O(chunk), so the
+    # audit needs about 168 MiB. 8-byte keys of every fraction took 251 MiB
+    res = run_capped(256 << 20, "audit", "--n", "10403", "--s", "26",
+                     "--reg2", "14")
+    assert res.returncode == 2, res.stderr
+    assert ("fraction_count = 32891060  indistinguishable_pairs = 839642\n"
+            in res.stdout)
 
 
 @pytest.mark.parametrize("argv", [
