@@ -17,8 +17,11 @@ so Monte-Carlo aggregates can be compared against the phi(r)/(3r)
 per-invocation lower bound term by term. The outcome is a function of the
 measured c alone, since k never enters the post-processing, so it is
 computed once per distinct c and shared by every trial that measured it.
-Likewise ``run_trials`` builds one frozen ``RunTrace`` per distinct (c, k)
-and hands the same object to every trial that drew that pair.
+It is even computed once per mirror pair {c, q - c}: the outcome of q - c
+is that of c with the recovered fraction d/r' replaced by (r' - d)/r'
+(``_mirrored``). ``run_trials`` finds each block's distinct c and (c, k) by
+sorting in numpy, builds one frozen ``RunTrace`` per distinct (c, k) and
+hands the same object to every trial that drew that pair.
 """
 
 import enum
@@ -180,6 +183,23 @@ def _classify(instance: FactoringInstance, q: int, c: int) -> tuple:
         if 1 < f < n:
             return recovered, True, (min(f, n // f), max(f, n // f)), None
     return recovered, True, None, FailureReason.TRIVIAL_GCD
+
+
+def _mirrored(outcome: tuple) -> tuple:
+    """``_classify``'s outcome for q - c, given its outcome for c, 0 < c < q.
+
+    The convergents of 1 - c/q are 0/1, 1/1 and 1 - d/r' for each
+    convergent d/r' of c/q, with the same denominators, and the acceptance
+    test 2|c r' - d q| <= r' is unchanged under (c, d) -> (q - c, r' - d).
+    So q - c recovers (r' - d, r') where c recovers (d, r'), and neither
+    recovers when the other does not. The order check, the parity check
+    and the gcd split read only r', so the rest of the outcome is c's.
+    """
+    recovered, *rest = outcome
+    if recovered is None:
+        return outcome
+    d, r_cand = recovered
+    return ((r_cand - d, r_cand), *rest)
 
 
 def _setup(n: int, x: int) -> tuple[FactoringInstance, int, SpectrumTable]:
@@ -384,7 +404,8 @@ class _Streams:
 
 
 def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
-    """Lists of the c and k ``table.sample`` draws for ``count`` trials.
+    """int64 arrays of the c and k ``table.sample`` draws for ``count``
+    trials.
 
     Trial i samples with ``default_rng`` of master's spawned child number
     n_children_spawned + start + i. ``table.draw`` makes its calls on a
@@ -402,20 +423,24 @@ def _draws(table: SpectrumTable, master, start: int, count: int) -> tuple:
             pool_size=master.pool_size,
         )
         c[i], k[i] = table.sample(np.random.default_rng(child))
-    return c.tolist(), k.tolist()
+    return c, k
 
 
 def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
     """Run independent trials with per-trial seeds derived from one master.
 
     The spectrum is built once and shared, and so is the outcome of each
-    distinct c. Trials that drew the same (c, k) share one ``RunTrace``
-    object: it is frozen, so the list equals, element by element, one
-    trace built per trial, and ``RunTrace``'s checks run once per distinct
-    pair. Trial i draws (c, k) as ``table.sample`` does from
-    ``default_rng(child)`` for the master's spawned child number
-    n_children_spawned + i, so any single trial can be reproduced in
-    isolation: for an int seed, trial i is
+    distinct c; the continued-fraction recovery runs once per mirror pair
+    {c, q - c} that was drawn, and the other c's outcome is ``_mirrored``.
+    Trials that drew the same (c, k) share one ``RunTrace`` object: it is
+    frozen, so the list equals, element by element, one trace built per
+    trial, and ``RunTrace``'s checks run once per distinct pair. Each
+    block's distinct c and (c, k) are found by sorting its int64 draws in
+    numpy; only those distinct values become Python ints, and the block's
+    traces are gathered from them in one pass. Trial i draws (c, k) as
+    ``table.sample`` does from ``default_rng(child)`` for the master's
+    spawned child number n_children_spawned + i, so any single trial can
+    be reproduced in isolation: for an int seed, trial i is
     ``default_rng(SeedSequence(seed).spawn(trials)[i])``. No Generator is
     built per trial: for each block of ``_BLOCK`` trials, the seeds and
     PCG64 outputs are computed bit for bit on arrays, ``table.draw`` makes
@@ -442,17 +467,37 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
             f"got {trials}"
         )
     instance, q, table = _setup(n, x)
+    r = instance.r
     outcomes = {}
     shared = {}
     traces = []
     for start in range(0, trials, _BLOCK):
         c, k = _draws(table, master, start, min(_BLOCK, trials - start))
-        for value in set(c).difference(outcomes):
-            outcomes[value] = _classify(instance, q, value)
-        pairs = list(zip(c, k))
-        for pair in set(pairs).difference(shared):
-            shared[pair] = RunTrace(instance, q, *pair, *outcomes[pair[0]])
-        traces += map(shared.__getitem__, pairs)
+        # The pair key is below _BLOCK * r, whatever c is, so it cannot
+        # overflow int64 even where c * r would.
+        values, c_index = np.unique(c, return_inverse=True)
+        keys, pair_index = np.unique(c_index * r + k, return_inverse=True)
+        values = values.tolist()
+        for value in values:
+            if value not in outcomes:
+                # q - c is never in outcomes at c = 0 (it is q) or at
+                # c = q/2 (it is c), so those two are classified directly.
+                mirror = outcomes.get(q - value)
+                outcomes[value] = (
+                    _classify(instance, q, value) if mirror is None
+                    else _mirrored(mirror)
+                )
+        objs = []
+        for key in keys.tolist():
+            index, k_value = divmod(key, r)
+            pair = values[index], k_value
+            trace = shared.get(pair)
+            if trace is None:
+                trace = shared[pair] = RunTrace(
+                    instance, q, *pair, *outcomes[pair[0]]
+                )
+            objs.append(trace)
+        traces += map(objs.__getitem__, pair_index.tolist())
     return traces
 
 

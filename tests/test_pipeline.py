@@ -344,7 +344,8 @@ def test_run_trials_reproducible_and_shares_instance():
     assert len({id(t.instance) for t in a}) == 1
 
 
-def test_run_trials_classifies_each_distinct_c_once(monkeypatch):
+def _count_recoveries(monkeypatch):
+    """Count ``pipeline.recover_order`` calls per c in the returned Counter."""
     calls = Counter()
     recover = pipeline.recover_order
 
@@ -353,10 +354,33 @@ def test_run_trials_classifies_each_distinct_c_once(monkeypatch):
         return recover(c, q, n)
 
     monkeypatch.setattr(pipeline, "recover_order", counting)
+    return calls
+
+
+def _first_of_each_mirror_class(c_values, q, block):
+    """The c ``run_trials`` classifies, from its trials' c in order: per
+    block, the distinct c ascending, each unless it or q - c came first."""
+    seen, first = set(), []
+    for start in range(0, len(c_values), block):
+        for c in sorted(set(c_values[start:start + block])):
+            if c not in seen and q - c not in seen:
+                first.append(c)
+            seen.add(c)
+    return first
+
+
+def test_run_trials_classifies_each_mirror_class_once(monkeypatch):
+    calls = _count_recoveries(monkeypatch)
     traces = run_trials(221, 2, 2000, 31)
+    q = traces[0].q
     sampled = {t.sampled_c for t in traces}
     assert len(sampled) < len(traces)
-    assert calls == Counter(sampled)
+    # One block: each class {c, q - c} is classified at its smaller drawn c.
+    classes = {}
+    for c in sorted(sampled):
+        classes.setdefault(min(c, (q - c) % q), c)
+    assert len(classes) < len(sampled)
+    assert calls == Counter(classes.values())
     instance, q = traces[0].instance, traces[0].q
     for t in traces:
         outcome = (t.recovered, t.order_verified, t.factors, t.failure_reason)
@@ -391,6 +415,78 @@ def test_run_trials_shares_one_trace_per_distinct_pair(
         RunTrace(instance, q, c, k, *pipeline._classify(instance, q, c))
         for c, k in pairs
     ]
+
+
+# q = 2^8, 2^9 and 2^16 at choose_q, with r = 4, 6 and 24.
+@pytest.mark.parametrize("n,x,q", [(15, 7, 256), (21, 2, 512),
+                                   (221, 2, 1 << 16)])
+def test_mirrored_outcome_is_the_outcome_of_q_minus_c(n, x, q):
+    instance = FactoringInstance.create(n, x)
+    outcomes = [pipeline._classify(instance, q, c) for c in range(q)]
+    for c in range(1, q):
+        assert pipeline._mirrored(outcomes[c]) == outcomes[q - c], c
+
+
+def test_recover_order_obeys_the_mirror_rule():
+    # Every c at every q = 2^s <= 2^10, q < n^2 included.
+    for n in range(3, 40):
+        for s in range(1, 11):
+            q = 1 << s
+            for c in range(1, q):
+                got = recover_order(c, q, n)
+                want = recover_order(q - c, q, n)
+                if got is None:
+                    assert want is None, (n, q, c)
+                else:
+                    d, r_cand = got
+                    assert want == (r_cand - d, r_cand), (n, q, c)
+
+
+def test_run_trials_pair_keys_do_not_overflow_past_int64_c_times_r():
+    # q = 2^54 and r = 8 345 004, so c * r passes 2^63: a key built from c
+    # itself would wrap, one from c's index in its block cannot.
+    n, x = 100160063, 2
+    traces = run_trials(n, x, 10, 5)
+    assert traces[0].q == 1 << 54 and traces[0].instance.r == 8345004
+    assert max(t.sampled_c for t in traces) * 8345004 >= 2**63
+    assert _records(traces) == _records(reference_run_trials(n, x, 10, 5))
+
+
+def test_run_trials_shares_traces_and_mirrors_across_blocks(monkeypatch):
+    # Blocks of 7 trials: pairs recur in later blocks, and some c is drawn
+    # in a block that lacks q - c, after an earlier block drew q - c.
+    n, x, trials, seed = 21, 2, 120, 3
+    want = _records(reference_run_trials(n, x, trials, seed))
+    monkeypatch.setattr(pipeline, "_BLOCK", 7)
+    calls = _count_recoveries(monkeypatch)
+    post_inits = []
+    post_init = RunTrace.__post_init__
+
+    def counting(self):
+        post_inits.append((self.sampled_c, self.sampled_k))
+        post_init(self)
+
+    monkeypatch.setattr(RunTrace, "__post_init__", counting)
+    traces = run_trials(n, x, trials, seed)
+    monkeypatch.undo()
+    assert _records(traces) == want
+    q = traces[0].q
+    pairs = [(t.sampled_c, t.sampled_k) for t in traces]
+    blocks = [pairs[i:i + 7] for i in range(0, trials, 7)]
+    assert any(set(block) & set(sum(blocks[:i], []))
+               for i, block in enumerate(blocks))
+    assert any(
+        c != q - c
+        and all(q - c != d for d, _ in block)
+        and any(q - c == d for d, _ in sum(blocks[:i], []))
+        for i, block in enumerate(blocks) for c, _ in block
+    )
+    first = {}
+    for pair, t in zip(pairs, traces):
+        assert first.setdefault(pair, t) is t
+    assert sorted(post_inits) == sorted(first)
+    c_values = [c for c, _ in pairs]
+    assert calls == Counter(_first_of_each_mirror_class(c_values, q, 7))
 
 
 def test_shared_trace_cannot_be_mutated():
