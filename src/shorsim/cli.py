@@ -57,6 +57,11 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:  # SeedSequence's own message names no flag and no value
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -257,6 +262,7 @@ def _emit(fmt: str, columns: dict, human, out, summary=None) -> None:
 
 def cmd_simulate(args) -> int:
     out = sys.stdout
+    _require_seed(args.seed)
     per_trial = args.trials <= MAX_TRACE_ROWS
     try:
         if per_trial:
@@ -346,7 +352,7 @@ def cmd_spectrum(args) -> int:
     summary = {
         # The q/p copies of the period sum alike, and q/p is a power of two.
         "normalization": float(table.period_marginals.sum())
-        * (q // len(table.period_marginals)),
+        * (q // table.period),
         "p_min_good_c": float(
             table.period_marginals[table.period_flags].min()
         ),
@@ -371,6 +377,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     if not args.n_list:
         raise ValueError("--n-list must name at least one modulus")
+    if args.bases == []:
+        raise ValueError("--bases must name at least one base")
+    _require_seed(args.seed)
     for n in args.n_list:
         pipeline.validate_modulus(n)
 

@@ -14,9 +14,9 @@ or one of six failure reasons. The taxonomy separates "the measurement was
 uninformative" (bad_c_no_recovery), "the fraction collapsed" (gcd(d, r) > 1
 understates the order), and the arithmetic dead ends of the extraction step,
 so Monte-Carlo aggregates can be compared against the phi(r)/(3r)
-per-invocation lower bound term by term. The outcome is a function of the
-measured c alone, since k never enters the post-processing, so it is
-computed once per distinct c and shared by every trial that measured it.
+per-invocation lower bound term by term. ``classify`` maps a measured c to
+its outcome, which k never enters, so the outcome is computed once per
+distinct c and shared by every trial that measured it.
 It is even computed once per mirror pair {c, q - c}: the outcome of q - c
 is that of c with the recovered fraction d/r' replaced by (r' - d)/r'
 (``_mirrored``). ``run_trials`` finds each block's distinct c and (c, k) by
@@ -155,7 +155,7 @@ def validate_modulus(n: int) -> None:
         raise ValueError(f"n must not be a prime power, got {n} = {p}^{e}")
 
 
-def _classify(instance: FactoringInstance, q: int, c: int) -> tuple:
+def classify(instance: FactoringInstance, q: int, c: int) -> tuple:
     """Run the classical post-processing of one measured c to its outcome.
 
     Returns the RunTrace fields (recovered, order_verified, factors,
@@ -186,7 +186,7 @@ def _classify(instance: FactoringInstance, q: int, c: int) -> tuple:
 
 
 def _mirrored(outcome: tuple) -> tuple:
-    """``_classify``'s outcome for q - c, given its outcome for c, 0 < c < q.
+    """``classify``'s outcome for q - c, given its outcome for c, 0 < c < q.
 
     The convergents of 1 - c/q are 0/1, 1/1 and 1 - d/r' for each
     convergent d/r' of c/q, with the same denominators, and the acceptance
@@ -220,7 +220,7 @@ def run_once(n: int, x: int, seed) -> RunTrace:
     """
     instance, q, table = _setup(n, x)
     c, k = table.sample(np.random.default_rng(seed))
-    return RunTrace(instance, q, c, k, *_classify(instance, q, c))
+    return RunTrace(instance, q, c, k, *classify(instance, q, c))
 
 
 # SeedSequence's hash and mix constants and PCG64's multiplier. NumPy keeps
@@ -484,7 +484,7 @@ def run_trials(n: int, x: int, trials: int, seed) -> list[RunTrace]:
                 # c = q/2 (it is c), so those two are classified directly.
                 mirror = outcomes.get(q - value)
                 outcomes[value] = (
-                    _classify(instance, q, value) if mirror is None
+                    classify(instance, q, value) if mirror is None
                     else _mirrored(mirror)
                 )
         objs = []

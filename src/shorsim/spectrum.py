@@ -11,9 +11,9 @@ counts the exponents a in [0, q) congruent to k mod r. The geometric sum
 collapses to a Dirichlet-kernel closed form, and m_k takes only the class
 sizes A+1 (k < B) and A (k >= B), q = A*r + B, so a full distribution over
 c costs O(q) instead of O(q * r), and entries that cancel exactly come out
-as exact zeros rather than rounding dust. ``SpectrumTable.joint`` evaluates
-one pair (c, k), and ``SpectrumTable._class_kernels`` both class sizes at
-an array of rows, through the same kernel.
+as exact zeros rather than rounding dust. ``SpectrumTable.class_weights``
+weighs both class sizes at an array of rows, and ``SpectrumTable.joint``
+one pair (c, k), the closed-form reference, through the same kernel.
 
 A measured c is called *good* when its centered residue satisfies
 |{r c}_q| <= r/2: precisely those outcomes place c/q within 1/(2q) of a
@@ -127,11 +127,6 @@ def _kernel(m, abs_t, q: int, sin=math.sin):
     return num / sin(math.pi * abs_t / q) ** 2
 
 
-def _all_copies(idx: np.ndarray, p: int, copies: int) -> np.ndarray:
-    """Every c in [0, copies * p) with c mod p in ``idx``, ascending."""
-    return (idx + p * np.arange(copies)[:, None]).ravel()
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -181,6 +176,11 @@ class SpectrumTable:
             raise ValueError(f"q must be a power of two >= 2, got {self.q}")
 
     @property
+    def period(self) -> int:
+        """p = q/gcd(r, q), the period in c of every per-c quantity."""
+        return self.q // math.gcd(self.r, self.q)
+
+    @property
     def table_free(self) -> bool:
         """Whether draws take c bit by bit in the eigenbasis: q > 2^16."""
         return self.q > _TABLE_MAX_Q
@@ -188,9 +188,8 @@ class SpectrumTable:
     @cached_property
     def period_residues(self) -> np.ndarray:
         """{r c}_q in (-q/2, q/2] for c in [0, p)."""
-        q, r = self.q, self.r
-        c = np.arange(q // math.gcd(r, q), dtype=np.int64)
-        return _read_only(nt.signed_residue(r % q * c, q))
+        c = np.arange(self.period, dtype=np.int64)
+        return _read_only(nt.signed_residue(self.r % self.q * c, self.q))
 
     @cached_property
     def good_rows(self) -> np.ndarray:
@@ -201,9 +200,8 @@ class SpectrumTable:
         u (r/g)^-1 mod p; u = +-p/2 give the same row. A period longer
         than 2^63 rows fits no int64 array and raises ValueError.
         """
-        q, r = self.q, self.r
-        g = math.gcd(r, q)
-        p = q // g
+        q, r, p = self.q, self.r, self.period
+        g = q // p
         if p > 1 << 63:
             raise ValueError(
                 f"q = {q} gives a period of {p} rows, more than an int64 "
@@ -217,25 +215,22 @@ class SpectrumTable:
     @cached_property
     def period_flags(self) -> np.ndarray:
         """|{r c}_q| <= r/2 for c in [0, p)."""
-        flags = np.zeros(self.q // math.gcd(self.r, self.q), dtype=bool)
+        flags = np.zeros(self.period, dtype=bool)
         flags[self.good_rows] = True
         return _read_only(flags)
 
-    def _class_kernels(self, rows: np.ndarray) -> np.ndarray:
+    def class_weights(self, rows: np.ndarray) -> np.ndarray:
         """q^2 P(c, k < B) and q^2 P(c, k >= B) at period rows c, stacked.
 
-        Any c in [0, q) may stand for its row c mod p: only (r/g) c mod p
-        is read.
-
-        m_k is A+1 for k < B and A for k >= B (q = A*r + B), and
-        |{r c}_q| = g min(u, p - u) with u = (r/g) c mod p. Both class sizes
-        share one kernel call, and a row with rc = 0 (mod q) takes m_k^2.
-        At large q the products wrap in int64; the masks by q - 1 and
-        p - 1 keep their exact low bits.
+        That is B K(A+1, t) and (r - B) K(A, t) (q = A*r + B), with K(m, t)
+        the kernel at class size m and t = |{r c}_q| = g min(u, p - u),
+        u = (r/g) c mod p; so any c in [0, q) may stand for its row c mod p.
+        Both class sizes share one kernel call, and a row with rc = 0
+        (mod q) takes m_k^2. At large q the products wrap in int64; the
+        masks by q - 1 and p - 1 keep their exact low bits.
         """
-        q, r = self.q, self.r
-        g = math.gcd(r, q)
-        p = q // g
+        q, r, p = self.q, self.r, self.period
+        g = q // p
         u = r // g * rows & p - 1
         # -u & (p - 1) is p - u but at u = 0, where the minimum is 0 either
         # way; it keeps p = 2^63 out of int64 arithmetic.
@@ -245,25 +240,23 @@ class SpectrumTable:
         with np.errstate(invalid="ignore"):
             out = _kernel(m, abs_t, q, np.sin)
         out[:, abs_t == 0] = np.square(m, dtype=float)
+        out *= [[q % r], [r - q % r]]
         return out
 
     def _marginals(self) -> np.ndarray:
         """A new array of the marginal probability of c in [0, p).
 
-        The k-sum collapses to the two ``_class_kernels`` terms, weighted by
-        their multiplicities B and r - B. Rows c in [0, p/2] reach each
-        magnitude 0, g, ..., q/2 once, so the kernel runs there, ``_CHUNK``
-        rows at a time, and row p - c copies row c.
+        The k-sum collapses to the two ``class_weights`` terms. Rows c in
+        [0, p/2] reach each magnitude 0, g, ..., q/2 once, so the kernel
+        runs there, ``_CHUNK`` rows at a time, and row p - c copies row c.
         """
-        q, r = self.q, self.r
-        b = q % r
-        p = q // math.gcd(r, q)
+        p = self.period
         half = p // 2
         out = np.empty(p)
         for start in range(0, half + 1, _CHUNK):
             c = np.arange(start, min(start + _CHUNK, half + 1))
-            hi, lo = self._class_kernels(c)
-            out[start:start + len(c)] = (b * hi + (r - b) * lo) / q**2
+            hi, lo = self.class_weights(c)
+            out[start:start + len(c)] = (hi + lo) / self.q**2
         out[half + 1:] = out[1:half][::-1]
         return out
 
@@ -403,7 +396,7 @@ class SpectrumTable:
         ``cumulative``.
         """
         cum = self.cumulative
-        p = len(cum)
+        p = self.period
         copies = self.q // p
         # copies is a power of two, so u * copies and its fraction are exact.
         # A fraction below 1 times the total rounds below the total, which
@@ -420,21 +413,18 @@ class SpectrumTable:
 
         P(c, k) depends on k only through the class size m_k: A+1 for
         k < B and A for k >= B (q = A*r + B). So v picks the group [0, B)
-        with its share of P(c), and k is uniform inside the group. ``c`` is
-        an int, or an int64 array read at its period rows; arrays take the
-        two weights from ``_class_kernels`` and an int from two ``joint``
-        calls, which keeps the scalar path a closed-form reference for the
-        array path, and nothing is cached per row. With B = 0 the group
-        [0, B) is empty, so k is drawn from [0, r).
+        with its share of P(c), by ``class_weights``, and k is uniform
+        inside the group. ``c`` is an int, weighed as a one-row array so
+        that one draw and a block decide alike, or an int64 array read at
+        its period rows. With B = 0 the group [0, B) is empty, so k is
+        drawn from [0, r).
         """
         r = self.r
         b = self.q % r
-        if isinstance(c, np.ndarray):
-            hi, lo = self._class_kernels(c)
-        else:
-            hi, lo = self.joint(int(c), 0), self.joint(int(c), b)
-        # Scaling both sides by q^2, a power of two, decides alike.
-        high = v * (b * hi + (r - b) * lo) < b * hi
+        hi, lo = self.class_weights(np.reshape(c, -1))
+        high = v * (hi + lo) < hi
+        if np.ndim(c) == 0:
+            high = bool(high[0])
         # A high draw takes k from [0, B), any other from [B, r).
         return b - b * high, r - (r - b) * high
 
@@ -444,7 +434,7 @@ class SpectrumTable:
         Python int, float, int and bool: each period array is converted by
         ``tolist`` once, and that one list is walked once per period.
         """
-        copies = self.q // len(self.period_marginals)
+        copies = self.q // self.period
         return zip(range(self.q), *(
             chain.from_iterable(repeat(period.tolist(), copies)) for period in
             (self.period_marginals, self.period_residues, self.period_flags)
@@ -452,10 +442,8 @@ class SpectrumTable:
 
     def _tiled(self, period: np.ndarray) -> np.ndarray:
         """``period`` tiled to length q, read-only; a view if q long."""
-        copies = self.q // len(period)
-        return _read_only(
-            np.broadcast_to(period, (copies, len(period))).reshape(self.q)
-        )
+        p = self.period
+        return _read_only(np.broadcast_to(period, (self.q // p, p)).ravel())
 
     @cached_property
     def marginals(self) -> np.ndarray:
@@ -472,12 +460,15 @@ class SpectrumTable:
         """|{r c}_q| <= r/2 for every c in [0, q)."""
         return self._tiled(self.period_flags)
 
+    def _copies(self, rows: np.ndarray) -> np.ndarray:
+        """Every c in [0, q) with c mod p in ``rows``, ascending."""
+        p = self.period
+        return (rows + p * np.arange(self.q // p)[:, None]).ravel()
+
     @cached_property
     def support(self) -> np.ndarray:
         """Indices c in [0, q) with nonzero marginal probability."""
-        p = len(self.period_marginals)
-        idx = np.flatnonzero(self.period_marginals > 0.0)
-        return _all_copies(idx, p, self.q // p)
+        return self._copies(np.flatnonzero(self.period_marginals > 0.0))
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -515,9 +506,8 @@ def good_c_set(r: int, q: int) -> set[int]:
     order, which is precisely why a two-valued observable carries no order
     information. The table checks r >= 1 before q, as for any order.
     """
-    rows = SpectrumTable(q=q, r=r).good_rows
-    copies = math.gcd(r, q)
-    return set(_all_copies(rows, q // copies, copies).tolist())
+    table = SpectrumTable(q=q, r=r)
+    return set(table._copies(table.good_rows).tolist())
 
 
 def integral_term(theta: float, r: int) -> float:
@@ -572,11 +562,11 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
     p_min = math.inf
     min_integral = math.inf
     max_gap = 0.0
-    # P(c, k) depends on c only through |{r c}_q|, which repeats with the
-    # period, so the good c of one period reach every value.
-    for c in table.good_rows.tolist():
-        t = abs(nt.signed_residue(r * c, q))
-        approx = integral_term(t / r, r)
+    # P(c, k) depends on c only through |{r c}_q|, the same at rows c and
+    # p - c of a period, so the good rows c <= p/2 reach every value.
+    rows = table.good_rows
+    for c in rows[rows <= table.period // 2].tolist():
+        approx = integral_term(abs(nt.signed_residue(r * c, q)) / r, r)
         min_integral = min(min_integral, approx)
         # P(c, k) depends on k only through m_k: A+1 for k < B, A for
         # k >= B, so k = 0 and k = B cover both (q = A*r + B).

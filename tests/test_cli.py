@@ -401,6 +401,29 @@ def test_sweep_usage_errors():
         .returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "15", "--x", "7", "--seed", "-1"],
+    ["sweep", "--n-list", "15", "--seed", "-1"],
+])
+def test_negative_seed_is_a_one_line_usage_error_naming_it(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "shorsim: error: --seed must be a non-negative integer, got -1\n"
+    )
+
+
+@pytest.mark.parametrize("bases", [",", ""])
+def test_empty_bases_is_a_usage_error(bases):
+    result = run_cli("sweep", "--n-list", "15", "--bases", bases)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "shorsim: error: --bases must name at least one base\n"
+    )
+
+
 def test_verify_bounds_output():
     result = run_cli("verify-bounds", "--n", "15", "--x", "7")
     assert result.returncode == 0

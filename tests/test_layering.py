@@ -87,7 +87,7 @@ def test_checker_flags_private_import_and_attribute(tmp_path):
     path.write_text(
         "from . import numtheory as nt, spectrum, _hidden\n"
         "from .spectrum import _kernel, build_spectrum\n"
-        "from shorsim.pipeline import _classify\n"
+        "from shorsim.pipeline import _mirrored\n"
         "spectrum._require_instance_range(15, 7)\n"
         "nt.order_oracle(7, 15)\n"
         "nt._helper\n"
@@ -95,7 +95,7 @@ def test_checker_flags_private_import_and_attribute(tmp_path):
     assert sorted(private_uses(path)) == [
         "probe.py:1 imports shorsim._hidden",
         "probe.py:2 imports spectrum._kernel",
-        "probe.py:3 imports pipeline._classify",
+        "probe.py:3 imports pipeline._mirrored",
         "probe.py:4 reads spectrum._require_instance_range",
         "probe.py:6 reads numtheory._helper",
     ]

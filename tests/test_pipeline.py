@@ -244,20 +244,33 @@ def test_inverse_cdf_matches_two_clamp_reference_bitwise(n, x, q):
         assert [(type(a), a) for a in got] == [(type(b), b) for b in want], u_i
 
 
-def test_inverse_cdf_on_arrays_calls_no_joint(monkeypatch):
-    # q % r = 2, so both k groups carry weight; arrays take the group
-    # weights from the class kernels, never from the scalar closed form
+def test_no_draw_calls_joint(monkeypatch):
+    # q % r = 2 at (21, 2, 512) and 196 at (3233, 3, 2^24), so both k groups
+    # carry weight; arrays and single draws alike take the group weights
+    # from ``class_weights``, never from the scalar closed form
     table = build_spectrum(FactoringInstance.create(21, 2), 512)
     rng = np.random.default_rng(5)
     u, v = rng.random(10**4), rng.random(10**4)
     want = two_clamp_inverse_cdf(table, u, v)
+    want_one = [two_clamp_inverse_cdf(table, u_i, v_i)
+                for u_i, v_i in zip(u[:200].tolist(), v[:200].tolist())]
+    seeds = range(20)
+    want_samples = [table.sample(np.random.default_rng(s)) for s in seeds]
+    want_runs = [run_once(n, x, s) for n, x in [(21, 2), (3233, 3)]
+                 for s in seeds]
 
     def refuse(self, c, k):
-        raise AssertionError("joint called on the array path")
+        raise AssertionError("joint called by a draw")
 
     monkeypatch.setattr(SpectrumTable, "joint", refuse)
     for a, b in zip(table.inverse_cdf(u, v), want):
         assert a.tobytes() == b.tobytes()
+    assert [table.inverse_cdf(u_i, v_i) for u_i, v_i in
+            zip(u[:200].tolist(), v[:200].tolist())] == want_one
+    assert [table.sample(np.random.default_rng(s))
+            for s in seeds] == want_samples
+    assert [run_once(n, x, s) for n, x in [(21, 2), (3233, 3)]
+            for s in seeds] == want_runs
 
 
 def test_recover_order_examples():
@@ -384,7 +397,7 @@ def test_run_trials_classifies_each_mirror_class_once(monkeypatch):
     instance, q = traces[0].instance, traces[0].q
     for t in traces:
         outcome = (t.recovered, t.order_verified, t.factors, t.failure_reason)
-        assert outcome == pipeline._classify(instance, q, t.sampled_c)
+        assert outcome == pipeline.classify(instance, q, t.sampled_c)
 
 
 @pytest.mark.parametrize("n,x,trials,seed", [(221, 2, 20000, 1),
@@ -412,7 +425,7 @@ def test_run_trials_shares_one_trace_per_distinct_pair(
         assert first.setdefault(pair, t) is t
     instance, q = traces[0].instance, traces[0].q
     assert traces == [
-        RunTrace(instance, q, c, k, *pipeline._classify(instance, q, c))
+        RunTrace(instance, q, c, k, *pipeline.classify(instance, q, c))
         for c, k in pairs
     ]
 
@@ -422,7 +435,7 @@ def test_run_trials_shares_one_trace_per_distinct_pair(
                                    (221, 2, 1 << 16)])
 def test_mirrored_outcome_is_the_outcome_of_q_minus_c(n, x, q):
     instance = FactoringInstance.create(n, x)
-    outcomes = [pipeline._classify(instance, q, c) for c in range(q)]
+    outcomes = [pipeline.classify(instance, q, c) for c in range(q)]
     for c in range(1, q):
         assert pipeline._mirrored(outcomes[c]) == outcomes[q - c], c
 
@@ -611,7 +624,7 @@ def reference_run_trials(n, x, trials, seed):
     traces = []
     for child in master.spawn(trials):
         c, k = table.sample(np.random.default_rng(child))
-        outcome = pipeline._classify(instance, q, c)
+        outcome = pipeline.classify(instance, q, c)
         traces.append(RunTrace(instance, q, c, k, *outcome))
     return traces
 

@@ -427,25 +427,75 @@ def _edge_rows(p: int, rng, count: int) -> np.ndarray:
 
 
 def _joint_pairs(table: SpectrumTable, rows) -> np.ndarray:
-    """q^2 (P(c, 0), P(c, B)) for each row c, from the scalar closed form."""
-    b = table.q % table.r
-    return np.array([[table.joint(c, 0) * table.q**2 for c in rows],
-                     [table.joint(c, b) * table.q**2 for c in rows]])
+    """q^2 (B P(c, 0), (r - B) P(c, B)) for each row c, from the scalar
+    closed form: q^2 P(c, k < B) and q^2 P(c, k >= B)."""
+    q, r = table.q, table.r
+    b = q % r
+    return np.array([[b * (table.joint(c, 0) * q**2) for c in rows],
+                     [(r - b) * (table.joint(c, b) * q**2) for c in rows]])
 
 
-def test_class_kernels_equal_the_scalar_joint_over_the_period_grid():
+def test_class_weights_equal_the_scalar_joint_over_the_period_grid():
     # PERIOD_GRID has p = 1 (r a multiple of q), p = 2 and r > q; with
-    # B = 0 no class has size A+1, so only the A column is checked
+    # B = 0 no class has size A+1, and its weight is exactly 0
     rng = np.random.default_rng(21)
     for r, q in PERIOD_GRID:
         table = SpectrumTable(q=q, r=r)
         p = q // math.gcd(r, q)
         rows = np.arange(p) if p <= 64 else _edge_rows(p, rng, 50)
-        got = table._class_kernels(rows)
+        got = table.class_weights(rows)
         want = _joint_pairs(table, rows.tolist())
         assert got.shape == (2, len(rows)) and got.dtype == np.float64
-        checked = slice(None) if q % r else slice(1, None)
-        assert _within_two_ulp(got[checked], want[checked]), (r, q)
+        assert _within_two_ulp(got, want), (r, q)
+        if q % r == 0:
+            assert not got[0].any(), (r, q)
+
+
+def test_class_weights_sum_to_the_period_marginals_bitwise():
+    for r, q in PERIOD_GRID:
+        table = SpectrumTable(q=q, r=r)
+        weights = table.class_weights(np.arange(table.period))
+        got = weights.sum(0) / q**2
+        assert got.tobytes() == table.period_marginals.tobytes(), (r, q)
+
+
+def test_period_is_the_length_of_every_period_column():
+    for r, q in PERIOD_GRID + [(1, 1 << s) for s in range(1, 13)]:
+        table = SpectrumTable(q=q, r=r)
+        assert table.period == q // math.gcd(r, q), (r, q)
+        for name in (*COLUMNS, "cumulative"):
+            assert len(getattr(table, name)) == table.period, (name, r, q)
+    # read from (q, r) alone: a 2^60-row period builds no column
+    for r, p in [(3, 1 << 60), (24, 1 << 57), (260, 1 << 58)]:
+        table = SpectrumTable(q=1 << 60, r=r)
+        assert table.period == p
+        assert set(vars(table)) == {"q", "r"}
+
+
+# (q, r) with q % r > 0, so both k groups carry weight: g = 2, 4 and 8,
+# at table widths and at q = 2^16 with a period of 2^15 rows
+BOUNDARY_CASES = [
+    (512, 6), (4096, 36), (1 << 16, 24), (2048, 10), (1 << 16, 110),
+    (256, 12), (1 << 16, 90), (4096, 20),
+]
+
+
+def test_one_draw_and_a_block_pick_the_same_k_group_at_every_boundary():
+    # At every period row, v at the boundary v* = hi / (hi + lo) of the
+    # block's weights and one ulp either side: one draw, weighed on its
+    # own, lands in the group the block puts it in
+    for q, r in BOUNDARY_CASES:
+        table = SpectrumTable(q=q, r=r)
+        rows = np.arange(table.period)
+        hi, lo = table.class_weights(rows)
+        with np.errstate(invalid="ignore"):
+            edge = hi / (hi + lo)
+        for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            block = table._k_range(rows, v)
+            one = [table._k_range(c, v_c)
+                   for c, v_c in zip(rows.tolist(), v.tolist())]
+            assert list(zip(*(a.tolist() for a in block))) == one, (q, r)
+            assert all(type(k) is int for pair in one for k in pair)
 
 
 # r = 3 (g = 1), r = 24 (g = 8) and r = 260 (g = 4): the products m |t| and
@@ -453,11 +503,11 @@ def test_class_kernels_equal_the_scalar_joint_over_the_period_grid():
 # their exact low bits
 @pytest.mark.parametrize("q", [1 << 40, 1 << 60])
 @pytest.mark.parametrize("r", [3, 24, 260])
-def test_class_kernels_at_large_q_match_python_int_joint(r, q):
+def test_class_weights_at_large_q_match_python_int_joint(r, q):
     table = SpectrumTable(q=q, r=r)
     rows = _edge_rows(q // math.gcd(r, q), np.random.default_rng(r), 300)
     assert rows[0] == 0
-    assert _within_two_ulp(table._class_kernels(rows),
+    assert _within_two_ulp(table.class_weights(rows),
                            _joint_pairs(table, rows.tolist()))
 
 
@@ -509,13 +559,28 @@ def flag_scan_bounds(instance: FactoringInstance, q: int) -> dict:
             "max_integral_gap": max_gap}
 
 
-def test_verify_bounds_equals_the_flag_scan():
+def test_verify_bounds_equals_the_flag_scan(monkeypatch):
+    # PERIOD_GRID has r | q, g > 1 with r not dividing q, and r > q. The
+    # scan reads every good row; verify_bounds evaluates only the good
+    # rows c <= p/2, whose mirrors p - c share their |{r c}_q|.
     cases = [(instance_of_order(r), q) for r, q in PERIOD_GRID]
-    for instance, q in cases + [(FactoringInstance.create(3233, 3), 1 << 24)]:
+    cases.append((FactoringInstance.create(3233, 3), 1 << 24))
+    expected = [flag_scan_bounds(instance, q) for instance, q in cases]
+    joint = SpectrumTable.joint
+    seen = set()
+
+    def recording(self, c, k):
+        seen.add(c)
+        return joint(self, c, k)
+
+    monkeypatch.setattr(SpectrumTable, "joint", recording)
+    for (instance, q), want in zip(cases, expected):
+        seen.clear()
         report = verify_bounds(instance, q)
-        expected = flag_scan_bounds(instance, q)
-        assert {k: getattr(report, k) for k in expected} == expected, (
-            instance.r, q)
+        assert {k: getattr(report, k) for k in want} == want, (instance.r, q)
+        table = SpectrumTable(q=q, r=instance.r)
+        rows = table.good_rows.tolist()
+        assert sorted(seen) == [c for c in rows if c <= table.period // 2]
 
 
 COLUMNS = ("period_marginals", "period_residues", "period_flags")
