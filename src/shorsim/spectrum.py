@@ -29,8 +29,11 @@ per magnitude, in cache-sized chunks of rows, and the other half of the
 period is a mirror copy. The r | q case, whose support is the multiples of
 q/r, is the extreme of this structure. The r good rows of a period solve
 (r/g) c = u (mod p) for |u| g <= r/2, so they cost O(r), not O(p). Each
-period column is computed when it is first read, so a caller that needs
-only the good c (``verify_bounds``) never evaluates the kernel.
+period column is computed when it is first read, and ``verify_bounds``
+reads none: it walks the good magnitudes g u, u = 0, 1, ..., in Python
+ints, calls ``joint`` at one row of each, and so needs O(1) memory.
+A period of more than 2^63 rows fits no int64 array, and
+``SpectrumTable.period`` refuses it by name for every column and walk.
 
 Sampling above q = 2^16 reads no column at all. The work register starts
 in a uniform mix of the r eigenvectors of multiplication by x, with
@@ -177,8 +180,17 @@ class SpectrumTable:
 
     @property
     def period(self) -> int:
-        """p = q/gcd(r, q), the period in c of every per-c quantity."""
-        return self.q // math.gcd(self.r, self.q)
+        """p = q/gcd(r, q), the period in c of every per-c quantity.
+
+        Past 2^63 rows no int64 array holds it, so this raises ValueError.
+        """
+        p = self.q // math.gcd(self.r, self.q)
+        if p > 1 << 63:
+            raise ValueError(
+                f"q = {self.q} gives a period of {p} rows, more than an int64 "
+                "array can hold"
+            )
+        return p
 
     @property
     def table_free(self) -> bool:
@@ -197,16 +209,11 @@ class SpectrumTable:
 
         With g = gcd(r, q), {r c}_q = g u for u = (r/g) c mod p, and r/g is
         odd, so each u with |u| <= (r // 2) // g is the row
-        u (r/g)^-1 mod p; u = +-p/2 give the same row. A period longer
-        than 2^63 rows fits no int64 array and raises ValueError.
+        u (r/g)^-1 mod p; u = +-p/2 give the same row. ``period_flags`` and
+        ``good_c_set`` read it; ``verify_bounds`` walks the same u without it.
         """
         q, r, p = self.q, self.r, self.period
         g = q // p
-        if p > 1 << 63:
-            raise ValueError(
-                f"q = {q} gives a period of {p} rows, more than an int64 "
-                "array can hold"
-            )
         reach = min(r // 2 // g, p // 2)
         u = np.arange(-reach, reach + 1, dtype=np.int64)
         # p is a power of two, so & (p - 1) reduces negative u mod p too.
@@ -331,8 +338,10 @@ class SpectrumTable:
         q = 2^s. The first term is reduced exactly in integers before it
         becomes a float, so for q <= 2^53 theta_i is within 2^-54 of its
         exact value. ``j`` and ``low`` are ints, or int64 scalars or arrays
-        of one value per draw; for int64, r^2 must stay below 2^63, as it
-        does for every instance ``choose_q`` sizes at q <= 2^63 (r < n).
+        of one value per draw. An int64 ``j`` makes (2^(s-1-i) mod r) j an
+        int64 product of up to (r - 1)^2, so r^2 must stay below 2^63 or
+        the phase wraps silently; ``eigen_draw`` refuses a larger r. An
+        instance ``choose_q`` sizes at q <= 2^63 has r < n <= 2^31.5.
         """
         s = self.q.bit_length() - 1
         r = self.r
@@ -344,7 +353,8 @@ class SpectrumTable:
         """P(bit i of c is 0 | eigenphase index j, c mod 2^i = low).
 
         That is cos^2(pi theta_i), with theta_i from ``_phase``; bit i is 1
-        with probability sin^2(pi theta_i), so the two sum to 1.
+        with probability sin^2(pi theta_i), so the two sum to 1. An int64
+        ``j`` needs r^2 < 2^63, as ``_phase`` says.
         """
         return np.cos(np.pi * self._phase(j, low, i)) ** 2
 
@@ -360,13 +370,19 @@ class SpectrumTable:
         draws c with its marginal probability, exactly, at O(s) per draw
         and with no table. k's group is then picked by v at c's period row,
         by the rule ``inverse_cdf`` uses. c must fit in int64, so q above
-        2^63 raises ValueError.
+        2^63 raises ValueError, and so does r with r^2 >= 2^63, whose int64
+        phase products would wrap (``_phase``).
         """
-        q = self.q
+        q, r = self.q, self.r
         if q > 1 << 63:
             raise ValueError(
                 f"q = {q} is more than 2^63, so a measured c would not fit "
                 "in int64"
+            )
+        if r * r >= 1 << 63:
+            raise ValueError(
+                f"r = {r} has r^2 >= 2^63, so its eigenphase products would "
+                "wrap in int64"
             )
         c = j * 0
         for i in range(q.bit_length() - 1):
@@ -554,26 +570,29 @@ def verify_bounds(instance: FactoringInstance, q: int) -> BoundReport:
     For every good c and every k, compares the exact amplitude magnitude
     sqrt(P(c, k)) against the approximation (1/r)|sinc({r c}_q / r)| and
     records the worst-case gap, alongside the minimum joint probability and
-    its relation to the 1/(3 r^2) and 4/(pi^2 r^2) floors.
+    its relation to the 1/(3 r^2) and 4/(pi^2 r^2) floors. It walks the good
+    magnitudes |{r c}_q| = g u in Python ints and reads no period column, so
+    it holds O(1) memory however long the period is.
     """
     n, r = instance.n, instance.r
     table = build_spectrum(instance, q)
 
-    p_min = math.inf
-    min_integral = math.inf
+    p_min = min_integral = math.inf
     max_gap = 0.0
-    # P(c, k) depends on c only through |{r c}_q|, the same at rows c and
-    # p - c of a period, so the good rows c <= p/2 reach every value.
-    rows = table.good_rows
-    for c in rows[rows <= table.period // 2].tolist():
-        approx = integral_term(abs(nt.signed_residue(r * c, q)) / r, r)
+    # P(c, k) depends on c only through |{r c}_q| = g u, the same at the rows
+    # +-u (r/g)^-1 mod p, so each good u <= p/2 is visited at the smaller.
+    p, g = table.period, math.gcd(r, q)
+    w = pow(r // g, -1, p)
+    for u in range(min(r // 2 // g, p // 2) + 1):
+        c = min(u * w % p, -u * w % p)
+        approx = integral_term(g * u / r, r)
         min_integral = min(min_integral, approx)
         # P(c, k) depends on k only through m_k: A+1 for k < B, A for
         # k >= B, so k = 0 and k = B cover both (q = A*r + B).
         for k in {0, q % r}:
-            p = table.joint(c, k)
-            p_min = min(p_min, p)
-            max_gap = max(max_gap, abs(math.sqrt(p) - approx))
+            prob = table.joint(c, k)
+            p_min = min(p_min, prob)
+            max_gap = max(max_gap, abs(math.sqrt(prob) - approx))
 
     one_third = 1.0 / (3.0 * r * r)
     floor = 4.0 / (math.pi**2 * r * r)

@@ -271,6 +271,19 @@ def test_audit_base_at_a_2_pow_63_row_period_runs():
     )
 
 
+def test_spectrum_at_a_period_past_int64_is_a_one_line_error():
+    # r = 4 at q = 2^66: the period of 2^64 rows is refused by name before
+    # any column is allocated, not by numpy's unnamed dimension error
+    result = run_cli("spectrum", "--n", "15", "--x", "7",
+                     "--q", str(1 << 66))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"shorsim: error: q = {1 << 66} gives a period of {1 << 64} rows, "
+        "more than an int64 array can hold\n"
+    )
+
+
 def test_spectrum_default_q():
     result = run_cli("spectrum", "--n", "15", "--x", "7",
                      "--format", "delimited-table")

@@ -583,6 +583,78 @@ def test_verify_bounds_equals_the_flag_scan(monkeypatch):
         assert sorted(seen) == [c for c in rows if c <= table.period // 2]
 
 
+def good_row_bounds(instance: FactoringInstance, q: int) -> dict:
+    """The loop fields of ``verify_bounds`` by its former good-row loop.
+
+    The rows c <= p/2 of ``good_rows`` are visited, each magnitude is
+    re-derived from the row's residue, and ``joint`` is called per row, as
+    the bound check did before it walked the magnitudes g u directly.
+    """
+    r = instance.r
+    table = SpectrumTable(q=q, r=r)
+    p_min = min_integral = math.inf
+    max_gap = 0.0
+    rows = table.good_rows
+    for c in rows[rows <= table.period // 2].tolist():
+        approx = integral_term(abs(nt.signed_residue(r * c, q)) / r, r)
+        min_integral = min(min_integral, approx)
+        for k in {0, q % r}:
+            prob = table.joint(c, k)
+            p_min = min(p_min, prob)
+            max_gap = max(max_gap, abs(math.sqrt(prob) - approx))
+    return {"p_min": p_min, "min_integral_term": min_integral,
+            "max_integral_gap": max_gap}
+
+
+# r = 11592 at q = 2^40 (g = 8), and r = 4 at q = 2^65, where the period
+# has 2^63 rows and u w mod p runs in Python ints past int64
+@pytest.mark.parametrize("n,x,q", [(1022117, 2, 1 << 40), (15, 7, 1 << 65)])
+def test_verify_bounds_walk_equals_the_good_row_loop(n, x, q):
+    instance = FactoringInstance.create(n, x)
+    want = good_row_bounds(instance, q)
+    report = verify_bounds(instance, q)
+    assert {k: getattr(report, k) for k in want} == want
+
+
+def test_verify_bounds_caches_no_column(monkeypatch):
+    # the walk computes each good row as a Python int, so the table it
+    # builds keeps its two fields and nothing else
+    tables = []
+
+    def capturing(instance, q):
+        tables.append(build_spectrum(instance, q))
+        return tables[-1]
+
+    monkeypatch.setattr(spectrum, "build_spectrum", capturing)
+    cases = [(instance_of_order(r), q) for r, q in PERIOD_GRID]
+    cases.append((FactoringInstance.create(3233, 3), 1 << 24))
+    for instance, q in cases:
+        verify_bounds(instance, q)
+        assert set(vars(tables[-1])) == {"q", "r"}, (instance.r, q)
+    assert len(tables) == len(cases)
+
+
+@pytest.mark.parametrize("read", [
+    "period", "period_marginals", "period_residues", "good_rows",
+    "period_flags", "marginals", "signed_residues", "good_flags", "support",
+    "cumulative", "rows", "good_c_set", "verify_bounds",
+])
+def test_a_period_past_int64_is_refused_by_name(read):
+    # r = 4 at q = 2^66: a period of 2^64 rows, which no int64 array holds
+    table = SpectrumTable(q=1 << 66, r=4)
+    calls = {
+        "rows": table.rows,
+        "good_c_set": lambda: good_c_set(4, 1 << 66),
+        "verify_bounds": lambda: verify_bounds(
+            FactoringInstance.create(15, 7), 1 << 66),
+    }
+    with pytest.raises(ValueError, match=(
+        f"^q = {1 << 66} gives a period of {1 << 64} rows, more than an "
+        "int64 array can hold$"
+    )):
+        calls.get(read, lambda: getattr(table, read))()
+
+
 COLUMNS = ("period_marginals", "period_residues", "period_flags")
 
 
@@ -903,3 +975,27 @@ def test_table_free_draw_refuses_q_past_2_pow_63():
         SpectrumTable(q=1 << 64, r=3).sample(np.random.default_rng(0))
     c, k = SpectrumTable(q=1 << 63, r=3).sample(np.random.default_rng(0))
     assert 0 <= c < 1 << 63 and 0 <= k < 3
+
+
+def test_table_free_draw_refuses_an_order_whose_square_passes_2_pow_63():
+    # (2^(s-1-i) mod r) j is an int64 product of up to (r - 1)^2, so an r
+    # with r^2 >= 2^63 would wrap the phase silently; 3037000499 is the
+    # largest r with r^2 < 2^63
+    largest = math.isqrt((1 << 63) - 1)
+    for r in (largest + 1, (1 << 50) + 3):
+        table = SpectrumTable(q=1 << 20, r=r)
+        refusal = rf"^r = {r} has r\^2 >= 2\^63, so its eigenphase"
+        with pytest.raises(ValueError, match=refusal):
+            table.sample(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=refusal):
+            table.eigen_draw(np.array([r - 1]), np.zeros((20, 1)), 0.5)
+    table = SpectrumTable(q=1 << 20, r=largest)
+    j = np.array([largest - 1, largest - 2, 1, 0])
+    for i in range(20):
+        want = [table._phase(int(jj), 0, i) for jj in j]
+        assert table._phase(j, 0, i).tolist() == want, i
+        assert float(table._phase(j[0], 0, i)) == want[0], i
+        exact = exact_phase(largest, 1 << 20, largest - 1, 0, i)
+        assert abs(Fraction(want[0]) - exact) <= Fraction(1, 1 << 54), i
+    c, k = table.sample(np.random.default_rng(0))
+    assert 0 <= c < 1 << 20 and 0 <= k < largest
